@@ -67,7 +67,6 @@ from .homology import (
     InfiniteGroupError,
     NotACycleError,
     class_order,
-    format_abelian,
     homology,
     homology_type,
     kunneth_predict,
@@ -113,7 +112,6 @@ __all__ = [
     "chi_square",
     "class_order",
     "example_ids",
-    "format_abelian",
     "format_chain",
     "format_group_spec",
     "homology",

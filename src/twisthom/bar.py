@@ -20,10 +20,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
 
 from .groups import GroupSpec
-from .homology import AbelianType, InfiniteGroupError
+from .homology import AbelianType, InfiniteGroupError, coords_order
 from .snf import quotient_presentation
 
 
@@ -394,9 +393,7 @@ class _Window:
     def order_of(self, chain: BarChain) -> int:
         """Order of the cycle's class; 0 stands for infinite order."""
         free, torsion = self.class_coords(chain)
-        if any(free):
-            return 0
-        return _order_from_residues(torsion, self.pres.torsion)
+        return coords_order(free, torsion, self.pres.torsion)
 
     def lift(self, free, torsion) -> BarChain:
         """A bar cycle representing the class with the given coordinates."""
@@ -464,7 +461,7 @@ def _chi_profile_bar(group: GroupSpec, n: int, cap: int):
     profile = []
     for residues in itertools.product(*(range(d) for d in divisors)):
         z = win.lift((), residues)
-        order_c = _order_from_residues(residues, divisors)
+        order_c = coords_order((), residues, divisors)
         value = shuffle_product(z, bar_inversion(z))
         profile.append((order_c, win2.order_of(value)))
     return tuple(sorted(profile))
@@ -472,21 +469,12 @@ def _chi_profile_bar(group: GroupSpec, n: int, cap: int):
 
 def _chi_profile_small(group: GroupSpec, n: int):
     from .criterion import chi_chain
-    from .homology import block_class_order, homology
+    from .homology import class_order, homology
 
     h = homology(group, n)
     profile = []
     for c in h.classes():
         z = h.representative(c)
-        profile.append((c.order(), block_class_order(chi_chain(z))))
+        profile.append((c.order(), class_order(chi_chain(z))))
     return tuple(sorted(profile))
 
-
-def _order_from_residues(residues, divisors) -> int:
-    k = 1
-    for c, d in zip(residues, divisors):
-        c %= d
-        if c:
-            o = d // gcd(d, c)
-            k = k * o // gcd(k, o)
-    return k

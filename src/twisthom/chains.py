@@ -202,58 +202,38 @@ def is_cycle(chain: Chain) -> bool:
     return boundary(chain).is_zero
 
 
-@lru_cache(maxsize=4096)
-def _basis_index(group: GroupSpec, n: int) -> dict:
-    return {mon: i for i, mon in enumerate(basis(group, n))}
+def block_key(group: GroupSpec, mon: Monomial) -> Monomial:
+    """The lowest monomial of the Koszul block that holds ``mon``.
 
-
-def chain_vector(chain: Chain) -> dict[int, int]:
-    """Sparse coefficient vector over the degree's basis indices."""
-    index = _basis_index(chain.group, chain.degree)
-    return {index[m]: c for m, c in chain.terms.items()}
-
-
-def chain_from_vector(group: GroupSpec, n: int, vector: dict[int, int]) -> Chain:
-    mons = basis(group, n)
-    return Chain(group, n, {mons[i]: v for i, v in vector.items() if v})
-
-
-@dataclass
-class DifferentialMatrix:
-    """The degree-n differential as sparse columns over basis indices.
-
-    Column j holds the coefficient vector of boundary(basis[j]) with rows
-    indexed by the degree-(n-1) basis.
+    Every slot splits into pieces ``[i]`` alone or ``[i+1] --c--> [i]``, so
+    the complex is a direct sum of Koszul complexes, one per vector of
+    lower ends.  Each slot whose differential is nonzero in its degree
+    drops to the lower end of its pair; the others stay.
     """
-
-    group: GroupSpec
-    degree: int
-    nrows: int
-    columns: list[dict[int, int]]
-
-    @property
-    def ncols(self) -> int:
-        return len(self.columns)
-
-    def dense(self) -> list[list[int]]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                out[i][j] = v
-        return out
+    orders, signs = _slot_data(group)
+    return tuple(i - 1 if i and _atomic_boundary(o, s, i) else i
+                 for o, s, i in zip(orders, signs, mon))
 
 
-@lru_cache(maxsize=1024)
-def differential_matrix(group: GroupSpec, n: int) -> DifferentialMatrix:
-    """Matrix of the differential C_n -> C_{n-1}; requires n >= 1."""
-    if n < 1:
-        raise ChainError("the differential matrix needs degree >= 1")
-    lower = _basis_index(group, n - 1)
-    cols = []
-    for mon in basis(group, n):
-        col = chain_vector(boundary(monomial_chain(group, mon)))
-        cols.append(col)
-    return DifferentialMatrix(group=group, degree=n, nrows=len(lower), columns=cols)
+def block_pairing(group: GroupSpec, key: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(slots, coefficients) of the slots paired in the block of ``key``.
+
+    A monomial of the block raises a subset of these slots by one; the
+    differential lowers them one at a time with coefficient c and the
+    sign of the degrees before the slot.  The key's own degrees are folded
+    into the coefficient here, so the block is the Koszul complex on the
+    signed coefficients with its standard exterior signs.
+    """
+    orders, signs = _slot_data(group)
+    slots, coeffs = [], []
+    parity = 0  # key degree sum strictly before the current slot, mod 2
+    for k, i in enumerate(key):
+        hit = _atomic_boundary(orders[k], signs[k], i + 1)
+        if hit is not None:
+            slots.append(k)
+            coeffs.append(-hit[1] if parity else hit[1])
+        parity ^= i & 1
+    return tuple(slots), tuple(coeffs)
 
 
 _TERM_RE = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?\[([^\[\]]*)\]")

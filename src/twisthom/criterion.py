@@ -21,7 +21,7 @@ from .groups import GroupSpec
 from .homology import (
     HomologyClass,
     _prime_power_split,
-    block_class_order,
+    class_order,
     generating_cycles,
     homology,
     is_boundary,
@@ -123,7 +123,7 @@ def _witness_verdict(group: GroupSpec, n: int, witness: Chain, value: Chain) -> 
         n,
         witness=witness,
         chi_chain=value,
-        chi_order=block_class_order(value),
+        chi_order=class_order(value),
     )
 
 

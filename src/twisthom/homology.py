@@ -1,9 +1,16 @@
 """Homology groups of the small complex, with exact reduction to coordinates.
 
-``homology(group, n)`` presents the degree-``n`` homology as a finitely
-generated abelian group and remembers enough of the reduction to send any
-cycle to its coordinates and any class back to a representative cycle.
-Presentations are cached per ``(group, n)``.
+Each factor's complex splits into pieces ``Z`` or ``Z --c--> Z`` (c = q on
+an untwisted Z_q, c = 2 on a twisted factor, no pairs on an untwisted Z),
+so the whole complex is a direct sum of Koszul complexes K(c_1..c_m), one
+per block key (see :func:`twisthom.chains.block_key`).
+``homology(group, n)`` presents H_n as the direct sum of the blocks'
+homology: each block is presented once per shape (signed coefficients and
+degree) by ``quotient_presentation`` on its t-subsets, and a block whose
+coefficients have gcd 1 is exact and drops out.  A cycle is reduced, tested for
+bounding, or given its order block by block, touching only the blocks its
+terms lie in.  Presentations are cached per ``(group, n)`` and compare
+equal when ``(group, n)`` is equal.
 
 >>> from .groups import parse_group_spec
 >>> g = parse_group_spec("Z_2 x Z_2")
@@ -11,30 +18,21 @@ Presentations are cached per ``(group, n)``.
 'Z_2'
 >>> str(homology(g, 3))
 'Z_2^3'
-
-For membership questions in high degree (is this cycle a boundary?) the
-full presentation is overkill; ``is_boundary`` works against a cached
-column echelon of the incoming differential instead.
+>>> h = homology(parse_group_spec("Z_6"), 1)
+>>> str(h), h.torsion_divisors
+('Z_2 + Z_3', (6,))
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
+from math import comb, gcd, lcm
 
-from .chains import (
-    Chain,
-    ChainError,
-    basis,
-    boundary,
-    chain_from_vector,
-    chain_vector,
-    differential_matrix,
-)
+from .chains import Chain, ChainError, basis, block_key, block_pairing, boundary
 from .groups import GroupSpec
-from .snf import ColumnEchelon, QuotientPresentation, quotient_presentation
+from .snf import QuotientPresentation, quotient_presentation
 
 
 class NotACycleError(ChainError):
@@ -45,23 +43,11 @@ class InfiniteGroupError(ValueError):
     """Raised when enumeration is asked of a group with free rank."""
 
 
-def format_abelian(rank: int, divisors: tuple[int, ...]) -> str:
-    """Render ``Z^rank + Z_d1 + ...`` with repeated divisors grouped.
-
-    >>> format_abelian(2, (3, 3, 9))
-    'Z^2 + Z_3^2 + Z_9'
-    >>> format_abelian(0, ())
-    '0'
-    """
-    parts = []
-    if rank == 1:
-        parts.append("Z")
-    elif rank > 1:
-        parts.append(f"Z^{rank}")
-    for d, run in itertools.groupby(divisors):
-        k = len(list(run))
-        parts.append(f"Z_{d}" if k == 1 else f"Z_{d}^{k}")
-    return " + ".join(parts) if parts else "0"
+def coords_order(free, torsion, divisors) -> int:
+    """Order of the class with these coordinates; 0 stands for infinite."""
+    if any(free):
+        return 0
+    return lcm(*(d // gcd(d, c) for c, d in zip(torsion, divisors)))
 
 
 @dataclass(frozen=True)
@@ -90,21 +76,14 @@ class HomologyClass:
 
     def order(self) -> int:
         """Order of the class; 0 stands for infinite order."""
-        if any(self.free):
-            return 0
-        k = 1
-        for c, d in zip(self.torsion, self.presentation.torsion_divisors):
-            if c:
-                o = d // gcd(d, c)
-                k = k * o // gcd(k, o)
-        return k
+        return coords_order(self.free, self.torsion, self.presentation.torsion_divisors)
 
     def representative(self) -> Chain:
         """A cycle reducing to this class."""
         return self.presentation.representative(self)
 
     def _check_mate(self, other: "HomologyClass"):
-        if self.presentation is not other.presentation:
+        if self.presentation != other.presentation:
             raise ValueError("classes live in different presentations")
 
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
@@ -139,28 +118,102 @@ class HomologyClass:
         return "(" + ", ".join(bits) + ")" if bits else "()"
 
 
+def _koszul_columns(coeffs: tuple[int, ...], t: int) -> list[dict[int, int]]:
+    """The Koszul differential from t-subsets to (t-1)-subsets of the slots,
+    as sparse columns; subsets are indexed in ``itertools.combinations``
+    order.  Dropping the r-th element of a subset carries (-1)^r."""
+    m = len(coeffs)
+    lower = {s: i for i, s in enumerate(itertools.combinations(range(m), t - 1))} if t else {}
+    return [{lower[s[:r] + s[r + 1:]]: -coeffs[k] if r & 1 else coeffs[k]
+             for r, k in enumerate(s)}
+            for s in itertools.combinations(range(m), t)]
+
+
+@dataclass(frozen=True)
+class _Koszul:
+    """H_t of one Koszul block shape: the t-subsets, their index, the
+    presentation over them, and one cycle vector per generator (torsion
+    first, as the presentation orders them)."""
+
+    subsets: tuple[tuple[int, ...], ...]
+    index: dict
+    core: QuotientPresentation
+    cycles: tuple[dict[int, int], ...]
+
+
+@lru_cache(maxsize=4096)
+def _koszul(coeffs: tuple[int, ...], t: int) -> _Koszul:
+    m = len(coeffs)
+    subsets = tuple(itertools.combinations(range(m), t))
+    core = quotient_presentation(_koszul_columns(coeffs, t), comb(m, t - 1) if t else 0,
+                                 _koszul_columns(coeffs, t + 1))
+    nt = len(core.torsion)
+    units = [tuple(int(i == j) for i in range(nt + core.free_rank))
+             for j in range(nt + core.free_rank)]
+    cycles = tuple(core.vector_from_coords(u[nt:], u[:nt]) for u in units)
+    return _Koszul(subsets, {s: i for i, s in enumerate(subsets)}, core, cycles)
+
+
 class HomologyPresentation:
     """Degree-``n`` homology of a group's small complex.
 
-    Generators are ordered torsion first (matching ``torsion_divisors``)
-    then free.  ``reduce`` sends a cycle to coordinates; ``representative``
-    lifts coordinates back to a cycle, and the two are mutually inverse up
-    to boundaries.
+    The direct sum of the homology of its Koszul blocks.  Generators are
+    ordered torsion first (matching ``torsion_divisors``) then free, each
+    block's generators together, blocks in the order their keys first
+    appear in the basis.  ``torsion_divisors`` lists each torsion
+    generator's order; within a block every entry is the gcd of the
+    block's coefficients, so the list is not a divisor chain.  ``str``
+    prints the primary decomposition.
+    ``reduce`` sends a cycle to coordinates; ``representative`` lifts
+    coordinates back to a cycle, and the two are mutually inverse up to
+    boundaries.  Presentations are values: equal and hashable on
+    ``(group, degree)``.
     """
 
-    def __init__(self, group: GroupSpec, degree: int, core: QuotientPresentation):
+    def __init__(self, group: GroupSpec, degree: int):
         self.group = group
         self.degree = degree
-        self._core = core
-        self._monomials = basis(group, degree)
+        self._blocks: dict = {}  # block key -> (slots, _Koszul), or None if H of the block is 0
 
-    @property
-    def free_rank(self) -> int:
-        return self._core.free_rank
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, HomologyPresentation)
+                and self.group == other.group and self.degree == other.degree)
 
-    @property
+    def __hash__(self) -> int:
+        return hash((self.group, self.degree))
+
+    def _block(self, key):
+        if key in self._blocks:
+            return self._blocks[key]
+        slots, coeffs = block_pairing(self.group, key)
+        block = None
+        if gcd(*coeffs) != 1:
+            kos = _koszul(coeffs, self.degree - sum(key))
+            if kos.cycles:
+                block = (slots, kos)
+        self._blocks[key] = block
+        return block
+
+    @cached_property
+    def _layout(self) -> dict:
+        """Block key -> index of its first generator, in generator order."""
+        group, n = self.group, self.degree
+        keys = [k for k in dict.fromkeys(block_key(group, m) for m in basis(group, n))
+                if self._block(k)]
+        keys.sort(key=lambda k: not self._block(k)[1].core.torsion)
+        out, start = {}, 0
+        for k in keys:
+            out[k] = start
+            start += len(self._block(k)[1].cycles)
+        return out
+
+    @cached_property
     def torsion_divisors(self) -> tuple[int, ...]:
-        return tuple(self._core.torsion)
+        return tuple(d for k in self._layout for d in self._block(k)[1].core.torsion)
+
+    @cached_property
+    def free_rank(self) -> int:
+        return sum(self._block(k)[1].core.free_rank for k in self._layout)
 
     @property
     def num_generators(self) -> int:
@@ -169,6 +222,44 @@ class HomologyPresentation:
     @property
     def is_trivial(self) -> bool:
         return self.num_generators == 0
+
+    @cached_property
+    def _cycles(self) -> tuple[Chain, ...]:
+        """One representative cycle per generator, in generator order."""
+        out = []
+        for key in self._layout:
+            slots, kos = self._block(key)
+            for vec in kos.cycles:
+                terms = {}
+                for i, v in vec.items():
+                    mon = list(key)
+                    for s in kos.subsets[i]:
+                        mon[slots[s]] += 1
+                    terms[tuple(mon)] = v
+                out.append(Chain(self.group, self.degree, terms))
+        return tuple(out)
+
+    def _parts(self, chain: Chain):
+        """(key, _Koszul, free, torsion) for each block the chain touches
+        that has homology: the block's local coordinates of its part of the
+        chain.  The chain must be a cycle."""
+        split: dict = {}
+        for mon, coef in chain.terms.items():
+            split.setdefault(block_key(self.group, mon), []).append((mon, coef))
+        for key, terms in split.items():
+            block = self._block(key)
+            if block is None:
+                continue
+            slots, kos = block
+            vec = {kos.index[tuple(s for s, k in enumerate(slots) if mon[k] != key[k])]: coef
+                   for mon, coef in terms}
+            yield key, kos, *kos.core.class_coords(vec)
+
+    def _check_cycle(self, chain: Chain) -> None:
+        if chain.group != self.group or chain.degree != self.degree:
+            raise ValueError("chain does not live where this presentation does")
+        if not boundary(chain).is_zero:
+            raise NotACycleError("chain has nonzero boundary")
 
     def zero(self) -> HomologyClass:
         return HomologyClass(self, (0,) * self.free_rank, (0,) * len(self.torsion_divisors))
@@ -185,18 +276,24 @@ class HomologyPresentation:
         return [self.generator(i) for i in range(self.num_generators)]
 
     def reduce(self, chain: Chain) -> HomologyClass:
-        if chain.group != self.group or chain.degree != self.degree:
-            raise ValueError("chain does not live where this presentation does")
-        if not boundary(chain).is_zero:
-            raise NotACycleError("chain has nonzero boundary")
-        free, torsion = self._core.class_coords(chain_vector(chain))
-        return HomologyClass(self, free, torsion)
+        self._check_cycle(chain)
+        coords = [0] * self.num_generators
+        for key, _, free, torsion in self._parts(chain):
+            local = torsion + free
+            start = self._layout[key]
+            coords[start:start + len(local)] = local
+        nt = len(self.torsion_divisors)
+        return HomologyClass(self, tuple(coords[nt:]), tuple(coords[:nt]))
 
     def representative(self, cls: HomologyClass) -> Chain:
-        if cls.presentation is not self:
+        if cls.presentation != self:
             raise ValueError("class belongs to a different presentation")
-        vec = self._core.vector_from_coords(cls.free, cls.torsion)
-        return chain_from_vector(self.group, self.degree, vec)
+        terms: dict = {}
+        for c, z in zip(cls.torsion + cls.free, self._cycles):
+            if c:
+                for mon, v in z.terms.items():
+                    terms[mon] = terms.get(mon, 0) + c * v
+        return Chain(self.group, self.degree, terms)
 
     def classes(self):
         """Iterate every class; only sensible when the group is finite."""
@@ -209,7 +306,7 @@ class HomologyPresentation:
         return AbelianType.from_divisors(self.free_rank, self.torsion_divisors)
 
     def __str__(self):
-        return format_abelian(self.free_rank, self.torsion_divisors)
+        return str(self.abelian_type())
 
     def __repr__(self):
         return f"<HomologyPresentation H_{self.degree}({self.group}) = {self}>"
@@ -220,15 +317,7 @@ def homology(group: GroupSpec, n: int) -> HomologyPresentation:
     """Present the degree-``n`` homology of the group's small complex."""
     if n < 0:
         raise ValueError("homology degree must be nonnegative")
-    if n == 0:
-        e_cols = [dict() for _ in basis(group, 0)]
-        nrows = 0
-    else:
-        dm = differential_matrix(group, n)
-        e_cols, nrows = dm.columns, dm.nrows
-    d_cols = differential_matrix(group, n + 1).columns
-    core = quotient_presentation(e_cols, nrows, d_cols)
-    return HomologyPresentation(group, n, core)
+    return HomologyPresentation(group, n)
 
 
 def reduce_cycle(chain: Chain) -> HomologyClass:
@@ -237,133 +326,30 @@ def reduce_cycle(chain: Chain) -> HomologyClass:
 
 
 def class_order(chain: Chain) -> int:
-    """Order of the cycle's homology class; 0 stands for infinite."""
-    return reduce_cycle(chain).order()
+    """Order of the cycle's homology class; 0 stands for infinite.
 
-
-@lru_cache(maxsize=256)
-def _image_lattice(group: GroupSpec, n: int) -> ColumnEchelon:
-    ech = ColumnEchelon()
-    for col in differential_matrix(group, n + 1).columns:
-        ech.add(col)
-    return ech
-
-
-@lru_cache(maxsize=None)
-def _zero_differential_slots(group: GroupSpec) -> tuple[int, ...]:
-    """Slots whose factor contributes no differential at all.
-
-    These are the infinite untwisted factors: their column of the
-    boundary table is identically zero, so the whole complex splits as a
-    direct sum of copies of the remaining factors' complex, one copy per
-    square-free monomial on these slots.
-    """
-    return tuple(k for k, f in enumerate(group.factors)
-                 if f.order == 0 and f.sign > 0)
-
-
-@lru_cache(maxsize=None)
-def _block_rest(group: GroupSpec) -> GroupSpec:
-    zero = set(_zero_differential_slots(group))
-    return GroupSpec(tuple(f for k, f in enumerate(group.factors) if k not in zero))
-
-
-def split_blocks(chain: Chain) -> dict[tuple[int, ...], Chain]:
-    """Decompose along the zero-differential slots.
-
-    Returns a map from the exponent pattern on those slots to the chain
-    over the remaining factors.  With no such slots the whole chain sits
-    in the single block keyed by the empty tuple.
-    """
-    zero = _zero_differential_slots(chain.group)
-    rest_slots = [k for k in range(len(chain.group)) if k not in set(zero)]
-    rest = _block_rest(chain.group)
-    buckets: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for mono, coeff in chain.terms.items():
-        key = tuple(mono[k] for k in zero)
-        sub = tuple(mono[k] for k in rest_slots)
-        buckets.setdefault(key, {})[sub] = coeff
-    return {
-        key: Chain(rest, chain.degree - sum(key), terms)
-        for key, terms in buckets.items()
-    }
-
-
-def lift_block(group: GroupSpec, key: tuple[int, ...], part: Chain) -> Chain:
-    """Inverse of ``split_blocks`` for a single block."""
-    zero = _zero_differential_slots(group)
-    rest_slots = [k for k in range(len(group)) if k not in set(zero)]
-    terms: dict[tuple[int, ...], int] = {}
-    for mono, coeff in part.terms.items():
-        full = [0] * len(group)
-        for k, e in zip(zero, key):
-            full[k] = e
-        for k, e in zip(rest_slots, mono):
-            full[k] = e
-        terms[tuple(full)] = coeff
-    return Chain(group, part.degree + sum(key), terms)
+    Only the blocks the chain touches are reduced."""
+    h = homology(chain.group, chain.degree)
+    h._check_cycle(chain)
+    return lcm(*(coords_order(free, torsion, kos.core.torsion)
+                 for _, kos, free, torsion in h._parts(chain)))
 
 
 def is_boundary(chain: Chain) -> bool:
-    """Whether the chain bounds, decided against cached image echelons.
-
-    Blocks over the zero-differential slots are independent, so the test
-    runs per block against the small echelon of the remaining factors.
-    """
+    """Whether the chain bounds: it is a cycle and its coordinates vanish in
+    every block it touches."""
     if chain.is_zero:
         return True
-    if not _zero_differential_slots(chain.group):
-        return _image_lattice(chain.group, chain.degree).contains(chain_vector(chain))
-    return all(
-        _image_lattice(part.group, part.degree).contains(chain_vector(part))
-        for part in split_blocks(chain).values()
-    )
-
-
-def block_class_order(chain: Chain) -> int:
-    """Order of the cycle's class, computed blockwise; 0 means infinite.
-
-    Agrees with ``class_order`` but never builds a presentation of the
-    full group, only of the zero-differential complement, which keeps
-    high-degree queries over groups with many infinite factors cheap.
-    """
-    if chain.is_zero:
-        return 1
-    k = 1
-    for part in split_blocks(chain).values():
-        o = homology(part.group, part.degree).reduce(part).order()
-        if o == 0:
-            return 0
-        k = k * o // gcd(k, o)
-    return k
+    if not boundary(chain).is_zero:
+        return False
+    h = homology(chain.group, chain.degree)
+    return not any(any(free) or any(torsion) for _, _, free, torsion in h._parts(chain))
 
 
 def generating_cycles(group: GroupSpec, n: int) -> list[Chain]:
-    """Cycles whose classes generate H_n, kept sparse via the block split.
-
-    Every class decomposes over the zero-differential blocks, so lifts of
-    the complement's presentation generators, one per square-free monomial
-    on the split slots, generate everything.  Blocks are listed with the
-    higher monomial degree first; within a block the presentation's
-    generator order is kept.
-    """
-    zero = _zero_differential_slots(group)
-    rest = _block_rest(group)
-    out: list[Chain] = []
-    for a in range(min(n, len(zero)), -1, -1):
-        pattern_slots = itertools.combinations(range(len(zero)), a)
-        patterns = []
-        for chosen in pattern_slots:
-            key = tuple(1 if i in chosen else 0 for i in range(len(zero)))
-            patterns.append(key)
-        if not patterns:
-            continue
-        h = homology(rest, n - a)
-        reps = [h.representative(g) for g in h.generators()]
-        for key in patterns:
-            for rep in reps:
-                out.append(lift_block(group, key, rep))
-    return out
+    """Cycles whose classes are the generators of ``homology(group, n)``,
+    in generator order; each lies in a single Koszul block."""
+    return [Chain(z.group, z.degree, dict(z.terms)) for z in homology(group, n)._cycles]
 
 
 def _prime_power_split(d: int) -> list[tuple[int, int]]:

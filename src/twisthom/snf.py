@@ -1,26 +1,21 @@
 """Exact integer linear algebra.
 
 Everything here works over Z with arbitrary-precision Python ints; nothing
-is ever done in floating point or a fixed-width dtype.  Three layers:
+is ever done in floating point or a fixed-width dtype.  Two layers:
 
 * :func:`smith_normal_form` -- dense Smith normal form with the unimodular
   transforms (and optionally their inverses) tracked through every
   elementary operation.  Pivots are chosen by minimal absolute value to
   keep intermediate entries small.
-* :class:`ColumnEchelon` -- a sparse triangular basis for the lattice
-  spanned by a stream of integer columns.  Supports exact membership
-  tests without tracking any transforms, which is what makes it usable
-  on matrices with tens of thousands of columns.
 * :func:`quotient_presentation` -- the reduction data for a subquotient
   lattice ker E / im D, built from the two Smith forms.  This is the one
-  piece of plumbing shared by the small-resolution homology engine and
-  the bar-resolution oracle.
+  piece of plumbing shared by the small-resolution homology engine, which
+  calls it once per Koszul block shape, and the bar-resolution oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -226,103 +221,6 @@ def smith_normal_form(matrix, ncols: int | None = None,
     return SmithNormalForm(U=U, D=D, V=V, Uinv=Uinv, Vinv=Vinv, rank=rank)
 
 
-class ColumnEchelon:
-    """Triangular lattice basis built online from sparse integer columns.
-
-    Row keys may be any totally ordered hashable values (ints, tuples).
-    Each stored pivot column is keyed by its minimal nonzero row, and
-    membership reduces a vector against pivots in increasing row order.
-    Adding a column costs a handful of sparse column combinations; no
-    transform matrices are kept, so this scales to very wide matrices.
-    """
-
-    def __init__(self, columns=()):
-        self._pivots: dict = {}
-        for col in columns:
-            self.add(col)
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def pivot_columns(self) -> list[dict]:
-        """The stored basis columns, ordered by pivot row."""
-        return [dict(self._pivots[r]) for r in sorted(self._pivots)]
-
-    def add(self, column: dict) -> None:
-        col = {k: v for k, v in column.items() if v}
-        while col:
-            r = min(col)
-            piv = self._pivots.get(r)
-            if piv is None:
-                if col[r] < 0:
-                    col = {k: -v for k, v in col.items()}
-                self._pivots[r] = col
-                return
-            a, b = piv[r], col[r]
-            if b % a == 0:
-                q = b // a
-                for k, v in piv.items():
-                    w = col.get(k, 0) - q * v
-                    if w:
-                        col[k] = w
-                    else:
-                        col.pop(k, None)
-            else:
-                g, x, y = _xgcd(a, b)
-                # Unimodular mix: new pivot has entry g at r, the leftover
-                # column has entry 0 there, and together they span the
-                # same lattice as (piv, col).
-                newp: dict = {}
-                for k in piv.keys() | col.keys():
-                    v = x * piv.get(k, 0) + y * col.get(k, 0)
-                    if v:
-                        newp[k] = v
-                au, bu = a // g, b // g
-                newc: dict = {}
-                for k in piv.keys() | col.keys():
-                    v = au * col.get(k, 0) - bu * piv.get(k, 0)
-                    if v:
-                        newc[k] = v
-                self._pivots[r] = newp
-                col = newc
-
-    def contains(self, vector: dict) -> bool:
-        """Exact test: is the vector an integer combination of the columns?"""
-        vec = {k: v for k, v in vector.items() if v}
-        while vec:
-            r = min(vec)
-            piv = self._pivots.get(r)
-            if piv is None:
-                return False
-            b, a = vec[r], piv[r]
-            if b % a:
-                return False
-            q = b // a
-            for k, v in piv.items():
-                w = vec.get(k, 0) - q * v
-                if w:
-                    vec[k] = w
-                else:
-                    vec.pop(k, None)
-        return True
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) > 0 and x*a + y*b == g."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 @dataclass
 class QuotientPresentation:
     """Reduction data for H = ker E / im D inside Z^ncols.
@@ -414,7 +312,8 @@ def quotient_presentation(e_columns: list[dict[int, int]], nrows_e: int,
     0..nrows_e-1 and D by sparse columns over E's column indices.
 
     im D must lie inside ker E (the caller's boundary-squared guarantee);
-    this is asserted via the part of the coordinate solve that must vanish.
+    this is checked via the part of the coordinate solve that must vanish,
+    and a violation raises ``ValueError``.
     """
     ncols = len(e_columns)
     dense = [[0] * ncols for _ in range(nrows_e)]
@@ -426,12 +325,10 @@ def quotient_presentation(e_columns: list[dict[int, int]], nrows_e: int,
     k = ncols - r
     kernel = [[res.V[idx][r + i] for i in range(k)] for idx in range(ncols)]
     coords = res.Vinv[r:] if k else []
-    if __debug__ and r:
-        top = res.Vinv[:r]
-        for col in d_columns:
-            for row in top:
-                s = sum(row[idx] * v for idx, v in col.items())
-                assert s == 0, "boundary column escapes the kernel"
+    for col in d_columns:
+        for row in res.Vinv[:r]:
+            if sum(row[idx] * v for idx, v in col.items()):
+                raise ValueError("boundary column escapes the kernel")
     x_rows = [[0] * len(d_columns) for _ in range(k)]
     for j, col in enumerate(d_columns):
         for idx, val in col.items():

@@ -36,7 +36,7 @@ from twisthom import (
     theorem_cover,
     wedge,
 )
-from twisthom.homology import block_class_order, homology, is_boundary
+from twisthom.homology import homology, is_boundary
 
 ORACLE_CAP = 60000
 
@@ -110,7 +110,6 @@ def test_3_sharpness_witnesses(capsys):
             and is_cycle(witness)
             and verdict.chi_order != 1
             and class_order(chi) == verdict.chi_order
-            and block_class_order(chi) == verdict.chi_order
         )
         if good:
             verified += 1

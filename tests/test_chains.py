@@ -19,7 +19,6 @@ from twisthom import (
     parse_chain,
     zero_chain,
 )
-from twisthom.chains import chain_from_vector, chain_vector, differential_matrix
 
 
 def test_basis_lex_order():
@@ -76,17 +75,6 @@ def test_degree_zero_boundary_is_zero():
     c = monomial_chain(G("Z_3"), (0,))
     assert boundary(c).is_zero
     assert boundary(c).degree == -1
-
-
-def test_differential_matrix_examples():
-    assert differential_matrix(G("Z_3"), 2).dense() == [[3]]
-    assert differential_matrix(G("Z"), 1).dense() == [[0]]
-    assert differential_matrix(G("Z_2~"), 1).dense() == [[2]]
-    dm = differential_matrix(G("Z_3 x Z_3"), 2)
-    assert dm.nrows == len(basis(G("Z_3 x Z_3"), 1))
-    assert dm.ncols == len(basis(G("Z_3 x Z_3"), 2))
-    with pytest.raises(ChainError):
-        differential_matrix(G("Z_3"), 0)
 
 
 @pytest.mark.parametrize("group", PROPERTY_GROUPS)
@@ -199,8 +187,3 @@ def test_parse_format_round_trip(data):
     assume(not chain.is_zero)
     assert parse_chain(group, format_chain(chain)) == chain
 
-
-def test_vector_round_trip():
-    g = G("Z_2 x Z_4~")
-    c = parse_chain(g, "[2 1] - 3*[1 2]")
-    assert chain_from_vector(g, 3, chain_vector(c)) == c

@@ -3,9 +3,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
 
-from support import G, PROPERTY_GROUPS, group_degree_chain, random_chain, random_cycle
+from support import G, PROPERTY_GROUPS, random_chain, random_cycle
 from twisthom import (
     AbelianType,
     GroupSpec,
@@ -13,20 +12,19 @@ from twisthom import (
     NotACycleError,
     boundary,
     class_order,
-    format_abelian,
     homology_type,
     kunneth_predict,
     parse_chain,
     reduce_cycle,
     zero_chain,
 )
+from twisthom.chains import basis, block_key, block_pairing, monomial_chain
 from twisthom.homology import (
-    block_class_order,
+    _koszul,
+    _koszul_columns,
     generating_cycles,
     homology,
     is_boundary,
-    lift_block,
-    split_blocks,
 )
 
 
@@ -55,12 +53,6 @@ def test_two_torsion_product():
 
 def test_mixed_free_and_torsion():
     assert str(homology(G("Z^3 x Z_3"), 6)) == "Z_3^4"
-
-
-def test_format_abelian():
-    assert format_abelian(2, (3, 3, 9)) == "Z^2 + Z_3^2 + Z_9"
-    assert format_abelian(0, ()) == "0"
-    assert format_abelian(1, (6,)) == "Z + Z_6"
 
 
 def test_reduce_scales_with_coefficients():
@@ -181,25 +173,16 @@ def test_presentation_is_deterministic():
     assert generating_cycles(g, 3) == generating_cycles(g, 3)
 
 
-@settings(max_examples=80)
-@given(group_degree_chain(degrees=(1, 2, 3)))
-def test_split_blocks_round_trip(data):
-    group, degree, chain = data
-    blocks = split_blocks(chain)
-    total = zero_chain(group, degree)
-    for key, part in blocks.items():
-        total = total + lift_block(group, key, part)
-    assert total == chain
-
-
 @pytest.mark.parametrize("group", ["Z_3", "Z_2 x Z_2", "Z_4~", "Z x Z_3 x Z_3"])
-def test_block_class_order_agrees(group):
+def test_class_order_agrees(group):
+    # class_order reduces only the touched blocks; reduce builds the full
+    # coordinates.  Both must give the same order.
     g = G(group)
     rng = random.Random(17)
     for n in (1, 2, 3):
         for _ in range(8):
             z = random_cycle(rng, g, n)
-            assert block_class_order(z) == class_order(z)
+            assert class_order(z) == reduce_cycle(z).order()
 
 
 def test_is_boundary():
@@ -219,3 +202,68 @@ def test_abelian_type_algebra():
     assert str(AbelianType.from_divisors(1, (2,)) + AbelianType.from_divisors(2, (3,))) == "Z^3 + Z_2 + Z_3"
     assert str(AbelianType.from_divisors(1, (6,))) == "Z + Z_2 + Z_3"
     assert AbelianType.from_divisors(0, ()) == homology_type(G("Z"), 3)
+
+
+def test_primary_form_and_block_divisors():
+    h = homology(G("Z_6"), 1)
+    assert str(h) == "Z_2 + Z_3"
+    assert h.torsion_divisors == (6,)
+    assert h.generator(0).order() == 6
+    assert str(homology(G("Z_2 x Z_4 x Z_8 x Z_3 x Z_3"), 10)) == "Z_2^30 + Z_4^5 + Z_3^5"
+
+
+def test_presentations_are_values():
+    # homology() keeps 256 presentations; evicting one and rebuilding it
+    # must give classes that still compare equal and still add.
+    g = G("Z_3")
+    z = parse_chain(g, "[1]")
+    first = reduce_cycle(z)
+    for k in range(2, 300):
+        homology(G("Z_2"), k)
+    second = reduce_cycle(z)
+    assert second.presentation is not first.presentation
+    assert second.presentation == first.presentation
+    assert hash(second.presentation) == hash(first.presentation)
+    assert second == first
+    assert (first + second).order() == 3
+    assert first.presentation.representative(second) == second.representative()
+
+
+BLOCK_GROUPS = PROPERTY_GROUPS + ("Z_6", "Z_6~ x Z_3")
+
+
+@pytest.mark.parametrize("group", BLOCK_GROUPS)
+def test_blocks_are_koszul_complexes(group):
+    # The boundary of a monomial stays in its block, and equals the block's
+    # Koszul differential under the subset indexing of its raised slots.
+    g = G(group)
+    for n in range(6):
+        for mon in basis(g, n):
+            key = block_key(g, mon)
+            slots, coeffs = block_pairing(g, key)
+            t = n - sum(key)
+            subset = tuple(s for s, k in enumerate(slots) if mon[k] != key[k])
+            assert len(subset) == t
+            assert all(mon[slots[s]] == key[slots[s]] + 1 for s in subset)
+            column = _koszul_columns(coeffs, t)[_koszul(coeffs, t).index[subset]]
+            lower = _koszul(coeffs, t - 1).subsets if t else ()
+            want = {}
+            for i, v in column.items():
+                target = list(key)
+                for s in lower[i]:
+                    target[slots[s]] += 1
+                want[tuple(target)] = v
+            d = boundary(monomial_chain(g, mon)).terms
+            assert all(block_key(g, target) == key for target in d)
+            assert d == want
+
+
+@pytest.mark.parametrize(
+    "group, degrees",
+    [("Z_4 x Z_9 x Z_8 x Z_6 x Z_6", range(9)), ("Z_2 x Z_2 x Z_2 x Z_2 x Z_2 x Z_2", (12,))],
+    ids=["mixed-prime-to-8", "Z_2^6-at-12"],
+)
+def test_large_presentations_match_homology_type(group, degrees):
+    g = G(group)
+    for n in degrees:
+        assert homology(g, n).abelian_type() == homology_type(g, n)

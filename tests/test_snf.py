@@ -1,15 +1,11 @@
-"""Exact linear algebra: Smith form, column echelon, quotient presentations."""
+"""Exact linear algebra: Smith form and quotient presentations."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import identity, mat_mul
-from twisthom.snf import (
-    ColumnEchelon,
-    quotient_presentation,
-    smith_normal_form,
-)
+from twisthom.snf import quotient_presentation, smith_normal_form
 
 
 def assert_smith(matrix, res, ncols=None):
@@ -127,52 +123,6 @@ def test_smith_property(matrix):
     assert mat_mul(res.V, res.Vinv) == identity(len(matrix[0]))
 
 
-def test_echelon_membership():
-    ech = ColumnEchelon([{0: 2}, {1: 3}])
-    assert ech.rank == 2
-    assert ech.contains({0: 2})
-    assert ech.contains({0: -4, 1: 3})
-    assert ech.contains({})
-    assert not ech.contains({0: 1})
-    assert not ech.contains({0: 2, 1: 1})
-    assert not ech.contains({2: 1})
-
-
-def test_echelon_gcd_mixing():
-    ech = ColumnEchelon()
-    ech.add({0: 4})
-    ech.add({0: 6})
-    assert ech.rank == 1
-    assert ech.contains({0: 2})
-    assert not ech.contains({0: 1})
-
-
-def test_echelon_pivot_columns_sorted():
-    ech = ColumnEchelon([{3: 1, 5: 2}, {1: 2}])
-    pivots = ech.pivot_columns()
-    assert [min(col) for col in pivots] == [1, 3]
-
-
-@settings(max_examples=100)
-@given(
-    st.lists(
-        st.dictionaries(st.integers(0, 4), st.integers(-6, 6), max_size=4),
-        max_size=5,
-    ),
-    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
-)
-def test_echelon_contains_combinations(columns, coeffs):
-    ech = ColumnEchelon(columns)
-    combo: dict = {}
-    for col, c in zip(columns, coeffs):
-        for k, v in col.items():
-            combo[k] = combo.get(k, 0) + c * v
-    assert ech.contains(combo)
-    outside = dict(combo)
-    outside[99] = 1
-    assert not ech.contains(outside)
-
-
 def test_quotient_presentation_free_and_torsion():
     # E: Z^2 -> Z with zero map, D: Z -> Z^2 with image 3 e_0.
     pres = quotient_presentation([{}, {}], 1, [{0: 3}])
@@ -212,3 +162,10 @@ def test_quotient_roundtrip():
         assert tuple(
             t % d for t, d in zip(got_torsion, pres.torsion)
         ) == torsion
+
+
+def test_quotient_presentation_rejects_escaping_boundary():
+    # D's column e_0 is not in ker E, so im D is not inside ker E.  The
+    # check raises ValueError, and so it still runs under python -O.
+    with pytest.raises(ValueError, match="escapes the kernel"):
+        quotient_presentation([{0: 1}, {}], 1, [{0: 1}])
