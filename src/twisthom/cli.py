@@ -182,7 +182,7 @@ def cmd_scan(args) -> tuple[int, dict, list[str]]:
     group = parse_group_spec(args.group)
     _check_degree(args.degree, args.max_degree)
     cover, vanish = scan(group, args.degree)
-    lines = [f"theorem cover: {cover}", f"vanishing decision: {vanish}"]
+    lines = [f"theorem cover: {cover}", f"vanishing decision: {vanish}", _pairs_line(vanish)]
     witness = None
     if not vanish.vanishes:
         order = "0" if vanish.chi_order == 0 else str(vanish.chi_order)
@@ -201,6 +201,17 @@ def cmd_scan(args) -> tuple[int, dict, list[str]]:
         witness=witness,
     )
     return (EXIT_OK if vanish.vanishes else EXIT_NONZERO), payload, lines
+
+
+def _pairs_line(verdict: Verdict) -> str:
+    """Provenance of ``vanishes_for_all``: what it formed, skipped, and where it failed."""
+    line = (f"  pairs: {verdict.generators} generators; {verdict.pairs_formed} formed, "
+            f"{verdict.skipped_free} skipped (free overlap), "
+            f"{verdict.skipped_degree} skipped (degree)")
+    if verdict.failing_pair is not None:
+        block = "[" + " ".join(str(i) for i in verdict.failing_block) + "]"
+        line += f"; failed at pair {verdict.failing_pair} in block {block}"
+    return line
 
 
 def cmd_verify_paper(args) -> tuple[int, dict, list[str]]:

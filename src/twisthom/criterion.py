@@ -7,6 +7,24 @@ each diagonal z_i ^ j(z_i) must bound, and each symmetrized cross term
 z_i ^ j(z_j) + z_j ^ j(z_i) must bound.  A failed test yields a witness
 class (z_i, or z_i + z_j) verified by the order of its chi value.
 
+Every generating cycle lies in one Koszul block, and j keeps monomials,
+so each product z_i ^ j(z_j) lies in the one target block that
+:func:`~twisthom.chains.product_block_key` reads off the two keys.  Two
+rules skip a pair without forming its product, and both are exact:
+
+* free overlap -- the untwisted Z slots have no pairs, so every monomial
+  of a block carries its key's degree there, and [1] ^ [1] = 0 on such a
+  slot: when both keys hold a 1 in the same untwisted Z slot, every term
+  of the product dies;
+* degree -- every monomial of a block has at least its key's total
+  degree, so when the target key's total is above 2n no monomial of
+  degree 2n lies in the block and the product is zero.
+
+Since the differential keeps every block, a product that is formed is a
+boundary exactly when it is one in its target block, so it is checked as
+a cycle and reduced there alone (a block with no homology still gets the
+cycle check).
+
 ``theorem_cover`` is the purely syntactic companion: it recognizes the
 group shapes and degree ranges for which vanishing is guaranteed without
 running any linear algebra.
@@ -14,9 +32,10 @@ running any linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
-from .chains import Chain
+from .chains import Chain, block_key, product_block_key
 from .groups import GroupSpec
 from .homology import (
     HomologyClass,
@@ -24,7 +43,6 @@ from .homology import (
     class_order,
     generating_cycles,
     homology,
-    is_boundary,
 )
 from .pontryagin import inversion_chain, wedge
 
@@ -44,6 +62,12 @@ class Verdict:
 
     ``witness`` and the ``chi_*`` fields are set only for NonzeroWitness;
     ``case`` only for TheoremCovered.  ``chi_order`` uses 0 for infinite.
+
+    The provenance fields are set by ``vanishes_for_all`` and take no part
+    in equality: the generator count, the pairs whose product was formed,
+    the pairs skipped by each rule (free overlap, degree), and for a
+    witness the failing pair (i, j), with i == j for a diagonal, and the
+    key of the block its product fell in.
     """
 
     kind: str
@@ -53,6 +77,12 @@ class Verdict:
     witness: Chain | None = None
     chi_chain: Chain | None = None
     chi_order: int | None = None
+    generators: int | None = field(default=None, compare=False)
+    pairs_formed: int | None = field(default=None, compare=False)
+    skipped_free: int | None = field(default=None, compare=False)
+    skipped_degree: int | None = field(default=None, compare=False)
+    failing_pair: tuple[int, int] | None = field(default=None, compare=False)
+    failing_block: tuple | None = field(default=None, compare=False)
 
     @property
     def vanishes(self) -> bool:
@@ -92,39 +122,43 @@ def chi_square(c: HomologyClass) -> HomologyClass:
 def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     """Decide whether chi(c) = 0 for every class c in H_n(group).
 
-    Runs the finite bilinear reduction over generating cycles.  Cross
-    terms use the identity z_j ^ j(z_i) = (-1)^n j(z_i ^ j(z_j)), valid
-    because j is an algebra map and the product is graded-commutative at
-    chain level, so each pair costs one product and one membership test.
+    Runs the finite bilinear reduction over generating cycles, diagonals
+    first, then pairs i < j.  Cross terms use the identity
+    z_j ^ j(z_i) = (-1)^n j(z_i ^ j(z_j)), valid because j is an algebra
+    map and the product is graded-commutative at chain level, so each
+    pair costs one product and one membership test in its target block,
+    unless a skip rule of the module docstring shows the product is zero.
     """
     gens = generating_cycles(group, n)
     jgens = [inversion_chain(z) for z in gens]
-    for z, jz in zip(gens, jgens):
-        value = wedge(z, jz)
-        if not value.is_zero and not is_boundary(value):
-            return _witness_verdict(group, n, z, value)
+    keys = [block_key(group, next(iter(z.terms))) for z in gens]
+    free = [k for k, f in enumerate(group.factors) if f.order == 0 and f.sign == 1]
+    masks = [sum(1 << k for k in free if key[k]) for key in keys]
+    h = homology(group, 2 * n)
     sign = -1 if n % 2 else 1
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            cross = wedge(gens[i], jgens[j])
-            if cross.is_zero:
-                continue
-            symm = cross + sign * inversion_chain(cross)
-            if not symm.is_zero and not is_boundary(symm):
-                w = gens[i] + gens[j]
-                return _witness_verdict(group, n, w, chi_chain(w))
-    return Verdict(VANISHES, group, n)
-
-
-def _witness_verdict(group: GroupSpec, n: int, witness: Chain, value: Chain) -> Verdict:
-    return Verdict(
-        NONZERO_WITNESS,
-        group,
-        n,
-        witness=witness,
-        chi_chain=value,
-        chi_order=class_order(value),
-    )
+    m = len(gens)
+    formed = skipped_free = skipped_degree = 0
+    for i, j in itertools.chain(zip(range(m), range(m)), itertools.combinations(range(m), 2)):
+        if masks[i] & masks[j]:
+            skipped_free += 1
+            continue
+        key = product_block_key(group, keys[i], keys[j], 2 * n)
+        if key is None:
+            skipped_degree += 1
+            continue
+        formed += 1
+        value = wedge(gens[i], jgens[j])
+        if i != j and not value.is_zero:
+            value = value + sign * inversion_chain(value)
+        if not value.is_zero and not h.bounds_in_block(key, value):
+            witness = gens[i] if i == j else gens[i] + gens[j]
+            chi = value if i == j else chi_chain(witness)
+            return Verdict(NONZERO_WITNESS, group, n, witness=witness, chi_chain=chi,
+                           chi_order=class_order(chi), generators=m, pairs_formed=formed,
+                           skipped_free=skipped_free, skipped_degree=skipped_degree,
+                           failing_pair=(i, j), failing_block=key)
+    return Verdict(VANISHES, group, n, generators=m, pairs_formed=formed,
+                   skipped_free=skipped_free, skipped_degree=skipped_degree)
 
 
 def _primary(order: int) -> tuple[int, int] | None:

@@ -80,14 +80,31 @@ class CyclicFactor:
         return self.sign == -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """An ordered tuple of cyclic factors with their action signs."""
+    """An ordered tuple of cyclic factors with their action signs.
+
+    Equality and hashing use the ``(order, sign)`` pairs, and the hash is
+    computed once here: every cache in the package is keyed on groups.
+    """
 
     factors: tuple[CyclicFactor, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        factors = tuple(self.factors)
+        key = tuple((f.order, f.sign) for f in factors)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, GroupSpec) and self._key == other._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GroupSpec, (self.factors,)
 
     def __len__(self) -> int:
         return len(self.factors)

@@ -7,10 +7,11 @@ per block key (see :func:`twisthom.chains.block_key`).
 ``homology(group, n)`` presents H_n as the direct sum of the blocks'
 homology: each block is presented once per shape (signed coefficients and
 degree) by ``quotient_presentation`` on its t-subsets, and a block whose
-coefficients have gcd 1 is exact and drops out.  A cycle is reduced, tested for
-bounding, or given its order block by block, touching only the blocks its
-terms lie in.  Presentations are cached per ``(group, n)`` and compare
-equal when ``(group, n)`` is equal.
+coefficients have gcd 1 is exact and drops out.  A chain is checked as a
+cycle on each block's Koszul columns, and reduced, tested for bounding, or
+given its order block by block, touching only the blocks its terms lie
+in.  Presentations are cached per ``(group, n)`` and compare equal when
+``(group, n)`` is equal.
 
 >>> from .groups import parse_group_spec
 >>> g = parse_group_spec("Z_2 x Z_2")
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
-from .chains import Chain, ChainError, basis, block_key, block_pairing, boundary
+from .chains import Chain, ChainError, basis, block_key, block_pairing
 from .groups import GroupSpec
 from .snf import QuotientPresentation, quotient_presentation
 
@@ -132,26 +133,41 @@ def _koszul_columns(coeffs: tuple[int, ...], t: int) -> list[dict[int, int]]:
 @dataclass(frozen=True)
 class _Koszul:
     """H_t of one Koszul block shape: the t-subsets, their index, the
-    presentation over them, and one cycle vector per generator (torsion
-    first, as the presentation orders them)."""
+    differential's columns on them, the presentation over them, and one
+    cycle vector per generator (torsion first, as the presentation orders
+    them).  A block whose coefficients have gcd 1 is exact: it has no
+    presentation and no cycles."""
 
     subsets: tuple[tuple[int, ...], ...]
     index: dict
-    core: QuotientPresentation
+    columns: list[dict[int, int]]
+    core: QuotientPresentation | None
     cycles: tuple[dict[int, int], ...]
+
+    def is_cycle(self, vec: dict[int, int]) -> bool:
+        """Whether the block's differential kills a local vector."""
+        out: dict = {}
+        for i, v in vec.items():
+            for r, c in self.columns[i].items():
+                out[r] = out.get(r, 0) + v * c
+        return not any(out.values())
 
 
 @lru_cache(maxsize=4096)
 def _koszul(coeffs: tuple[int, ...], t: int) -> _Koszul:
     m = len(coeffs)
     subsets = tuple(itertools.combinations(range(m), t))
-    core = quotient_presentation(_koszul_columns(coeffs, t), comb(m, t - 1) if t else 0,
+    index = {s: i for i, s in enumerate(subsets)}
+    columns = _koszul_columns(coeffs, t)
+    if gcd(*coeffs) == 1:
+        return _Koszul(subsets, index, columns, None, ())
+    core = quotient_presentation(columns, comb(m, t - 1) if t else 0,
                                  _koszul_columns(coeffs, t + 1))
     nt = len(core.torsion)
     units = [tuple(int(i == j) for i in range(nt + core.free_rank))
              for j in range(nt + core.free_rank)]
     cycles = tuple(core.vector_from_coords(u[nt:], u[:nt]) for u in units)
-    return _Koszul(subsets, {s: i for i, s in enumerate(subsets)}, core, cycles)
+    return _Koszul(subsets, index, columns, core, cycles)
 
 
 class HomologyPresentation:
@@ -173,7 +189,7 @@ class HomologyPresentation:
     def __init__(self, group: GroupSpec, degree: int):
         self.group = group
         self.degree = degree
-        self._blocks: dict = {}  # block key -> (slots, _Koszul), or None if H of the block is 0
+        self._blocks: dict = {}  # block key -> (slots, _Koszul)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HomologyPresentation)
@@ -183,15 +199,10 @@ class HomologyPresentation:
         return hash((self.group, self.degree))
 
     def _block(self, key):
-        if key in self._blocks:
-            return self._blocks[key]
-        slots, coeffs = block_pairing(self.group, key)
-        block = None
-        if gcd(*coeffs) != 1:
-            kos = _koszul(coeffs, self.degree - sum(key))
-            if kos.cycles:
-                block = (slots, kos)
-        self._blocks[key] = block
+        block = self._blocks.get(key)
+        if block is None:
+            slots, coeffs = block_pairing(self.group, key)
+            block = self._blocks[key] = (slots, _koszul(coeffs, self.degree - sum(key)))
         return block
 
     @cached_property
@@ -199,7 +210,7 @@ class HomologyPresentation:
         """Block key -> index of its first generator, in generator order."""
         group, n = self.group, self.degree
         keys = [k for k in dict.fromkeys(block_key(group, m) for m in basis(group, n))
-                if self._block(k)]
+                if self._block(k)[1].cycles]
         keys.sort(key=lambda k: not self._block(k)[1].core.torsion)
         out, start = {}, 0
         for k in keys:
@@ -239,27 +250,39 @@ class HomologyPresentation:
                 out.append(Chain(self.group, self.degree, terms))
         return tuple(out)
 
+    def _local(self, key, terms):
+        """The block of ``key`` and the local vector of ``terms``, which all
+        lie in it; raises ``NotACycleError`` unless the vector is a cycle."""
+        slots, kos = self._block(key)
+        vec = {kos.index[tuple(s for s, k in enumerate(slots) if mon[k] != key[k])]: coef
+               for mon, coef in terms}
+        if not kos.is_cycle(vec):
+            raise NotACycleError("chain has nonzero boundary")
+        return kos, vec
+
     def _parts(self, chain: Chain):
         """(key, _Koszul, free, torsion) for each block the chain touches
         that has homology: the block's local coordinates of its part of the
-        chain.  The chain must be a cycle."""
+        chain.  Each part is checked as a cycle, since the differential
+        keeps every block, and ``NotACycleError`` is raised on the first
+        part that is not one."""
         split: dict = {}
         for mon, coef in chain.terms.items():
             split.setdefault(block_key(self.group, mon), []).append((mon, coef))
         for key, terms in split.items():
-            block = self._block(key)
-            if block is None:
-                continue
-            slots, kos = block
-            vec = {kos.index[tuple(s for s, k in enumerate(slots) if mon[k] != key[k])]: coef
-                   for mon, coef in terms}
-            yield key, kos, *kos.core.class_coords(vec)
+            kos, vec = self._local(key, terms)
+            if kos.cycles:
+                yield key, kos, *kos.core.class_coords(vec)
 
-    def _check_cycle(self, chain: Chain) -> None:
+    def bounds_in_block(self, key, chain: Chain) -> bool:
+        """Whether a chain whose terms all lie in the block of ``key`` is a
+        boundary; raises ``NotACycleError`` if it is not a cycle."""
+        kos, vec = self._local(key, chain.terms.items())
+        return not kos.cycles or not any(map(any, kos.core.class_coords(vec)))
+
+    def _check_home(self, chain: Chain) -> None:
         if chain.group != self.group or chain.degree != self.degree:
             raise ValueError("chain does not live where this presentation does")
-        if not boundary(chain).is_zero:
-            raise NotACycleError("chain has nonzero boundary")
 
     def zero(self) -> HomologyClass:
         return HomologyClass(self, (0,) * self.free_rank, (0,) * len(self.torsion_divisors))
@@ -276,7 +299,7 @@ class HomologyPresentation:
         return [self.generator(i) for i in range(self.num_generators)]
 
     def reduce(self, chain: Chain) -> HomologyClass:
-        self._check_cycle(chain)
+        self._check_home(chain)
         coords = [0] * self.num_generators
         for key, _, free, torsion in self._parts(chain):
             local = torsion + free
@@ -330,7 +353,7 @@ def class_order(chain: Chain) -> int:
 
     Only the blocks the chain touches are reduced."""
     h = homology(chain.group, chain.degree)
-    h._check_cycle(chain)
+    h._check_home(chain)
     return lcm(*(coords_order(free, torsion, kos.core.torsion)
                  for _, kos, free, torsion in h._parts(chain)))
 
@@ -340,10 +363,11 @@ def is_boundary(chain: Chain) -> bool:
     every block it touches."""
     if chain.is_zero:
         return True
-    if not boundary(chain).is_zero:
-        return False
     h = homology(chain.group, chain.degree)
-    return not any(any(free) or any(torsion) for _, _, free, torsion in h._parts(chain))
+    try:
+        return not any(any(free) or any(torsion) for _, _, free, torsion in h._parts(chain))
+    except NotACycleError:
+        return False
 
 
 def generating_cycles(group: GroupSpec, n: int) -> list[Chain]:

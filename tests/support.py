@@ -21,7 +21,9 @@ from twisthom import (
     zero_chain,
 )
 from twisthom.chains import basis
-from twisthom.homology import generating_cycles
+from twisthom.criterion import chi_chain
+from twisthom.homology import class_order, generating_cycles, is_boundary
+from twisthom.pontryagin import inversion_chain, wedge
 
 
 def G(text: str) -> GroupSpec:
@@ -31,6 +33,21 @@ def G(text: str) -> GroupSpec:
 # The three-way oracle grid: finite groups whose bar complex fits under a
 # 60000-element cap through degree 2n+1 for the degrees that matter.
 ORACLE_GROUPS = ("Z_2", "Z_3", "Z_4", "Z_2 x Z_2", "Z_3 x Z_3", "Z_2~", "Z_4~")
+
+# Cells outside the covered grid where chi does not vanish.
+SHARPNESS_CELLS = [
+    ("Z^4", 2),
+    ("Z^3 x Z_3", 3),
+    ("Z^7 x Z_3", 6),
+    ("Z^7 x Z_3", 7),
+    ("Z^2 x Z_3 x Z_3", 4),
+    ("Z^2 x Z_3 x Z_3", 5),
+    ("Z x Z_3 x Z_3 x Z_3", 4),
+    ("Z x Z_3 x Z_3 x Z_3", 7),
+    ("Z_3 x Z_3 x Z_3 x Z_3", 5),
+    ("Z_3 x Z_3 x Z_3 x Z_3", 6),
+    ("Z^8 x Z_2", 4),
+]
 
 # Small mixed bag for module-level property tests.
 PROPERTY_GROUPS = (
@@ -119,6 +136,32 @@ def grid_groups() -> list[GroupSpec]:
     for g, _ in criterion_grid():
         seen.setdefault(g, None)
     return list(seen)
+
+
+def reference_vanishing(group: GroupSpec, n: int):
+    """The vanishing decision as a plain pairwise loop over the public
+    ``wedge`` and ``is_boundary``, with no skip rule and no block
+    targeting: ``(kind, witness, chi_order)``, the witness None when chi
+    vanishes.  Diagonals first, then pairs i < j, each cross term
+    symmetrized as z_i ^ j(z_j) + (-1)^n j(z_i ^ j(z_j)).
+    """
+    gens = generating_cycles(group, n)
+    jgens = [inversion_chain(z) for z in gens]
+    for z, jz in zip(gens, jgens):
+        value = wedge(z, jz)
+        if not value.is_zero and not is_boundary(value):
+            return "NonzeroWitness", z, class_order(value)
+    sign = -1 if n % 2 else 1
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            cross = wedge(gens[i], jgens[j])
+            if cross.is_zero:
+                continue
+            symm = cross + sign * inversion_chain(cross)
+            if not symm.is_zero and not is_boundary(symm):
+                w = gens[i] + gens[j]
+                return "NonzeroWitness", w, class_order(chi_chain(w))
+    return "Vanishes", None, None
 
 
 def random_chain(

@@ -17,7 +17,15 @@ import time
 
 import pytest
 
-from support import G, ORACLE_GROUPS, criterion_grid, grid_groups, random_chain, random_cycle
+from support import (
+    G,
+    ORACLE_GROUPS,
+    SHARPNESS_CELLS,
+    criterion_grid,
+    grid_groups,
+    random_chain,
+    random_cycle,
+)
 from twisthom import (
     Chain,
     GroupSpec,
@@ -78,21 +86,6 @@ def test_2_vanishing_on_the_covered_grid(capsys, grid_sweep):
         f"vanishing confirmed on {len(cells) - len(failures)}/{len(cells)} "
         f"grid cells, degrees 2..6 ({elapsed:.1f}s)",
     )
-
-
-SHARPNESS_CELLS = [
-    ("Z^4", 2),
-    ("Z^3 x Z_3", 3),
-    ("Z^7 x Z_3", 6),
-    ("Z^7 x Z_3", 7),
-    ("Z^2 x Z_3 x Z_3", 4),
-    ("Z^2 x Z_3 x Z_3", 5),
-    ("Z x Z_3 x Z_3 x Z_3", 4),
-    ("Z x Z_3 x Z_3 x Z_3", 7),
-    ("Z_3 x Z_3 x Z_3 x Z_3", 5),
-    ("Z_3 x Z_3 x Z_3 x Z_3", 6),
-    ("Z^8 x Z_2", 4),
-]
 
 
 def test_3_sharpness_witnesses(capsys):

@@ -1,6 +1,10 @@
 """Command line interface: output shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,31 @@ def test_scan_witness(capsys):
     assert "vanishing decision: NonzeroWitness(order infinite)" in out
     assert "witness cycle: [0 0 1 1] + [1 1 0 0]" in out
     assert "chi chain: 2*[1 1 1 1] (class order infinite)" in out
+
+
+def test_scan_pairs_line(capsys):
+    _, out, _ = invoke(capsys, "scan", "Z^4", "2")
+    assert ("  pairs: 6 generators; 1 formed, 10 skipped (free overlap), 0 skipped (degree); "
+            "failed at pair (0, 5) in block [1 1 1 1]\n") in out
+    _, out, _ = invoke(capsys, "scan", "Z^3", "3")
+    assert "  pairs: 1 generators; 0 formed, 1 skipped (free overlap), 0 skipped (degree)\n" in out
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("group, degree", [("Z^4", "2"), ("Z^3 x Z_3", "3")])
+def test_scan_witness_under_optimize(group, degree):
+    # The checks inside the pipeline must not be asserts that -O strips.
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    runs = [subprocess.run([sys.executable, *flags, "-m", "twisthom.cli", "scan", group, degree],
+                           capture_output=True, text=True, env=env, timeout=120)
+            for flags in ((), ("-O",))]
+    assert [r.returncode for r in runs] == [EXIT_NONZERO, EXIT_NONZERO]
+    witness = [[line for line in r.stdout.splitlines() if "witness cycle:" in line] for r in runs]
+    assert len(witness[0]) == 1
+    assert witness[1] == witness[0]
 
 
 def test_scan_vanishing(capsys):

@@ -4,10 +4,18 @@ import random
 
 import pytest
 
-from support import G, random_chain, random_cycle
+from support import (
+    SHARPNESS_CELLS,
+    G,
+    criterion_grid,
+    random_chain,
+    random_cycle,
+    reference_vanishing,
+)
 from twisthom import (
     Chain,
     DegreeTooSmallError,
+    Verdict,
     boundary,
     chi_chain,
     chi_square,
@@ -199,3 +207,39 @@ def test_verdict_str_forms():
     assert str(vanishes_for_all(G("Z^3 x Z_3"), 3)) == "NonzeroWitness(order 3)"
     assert str(vanishes_for_all(G("Z_2~ x Z_2"), 2)) == "Vanishes"
     assert str(theorem_cover(G("Z^6"), 2)) == "NotCovered"
+
+
+def test_verdict_provenance():
+    v = vanishes_for_all(G("Z^4"), 2)
+    assert (v.generators, v.pairs_formed, v.skipped_free, v.skipped_degree) == (6, 1, 10, 0)
+    assert v.failing_pair == (0, 5)
+    assert v.failing_block == (1, 1, 1, 1)
+    assert v == Verdict(v.kind, v.group, v.degree, witness=v.witness,
+                        chi_chain=v.chi_chain, chi_order=v.chi_order)
+    for text, n in (("Z_3 x Z_3", 3), ("Z^2 x Z_2 x Z_2", 3), ("Z_3", 1)):
+        v = vanishes_for_all(G(text), n)
+        m = v.generators
+        assert v.vanishes and v.failing_pair is None and v.failing_block is None
+        assert v.pairs_formed + v.skipped_free + v.skipped_degree == m * (m + 1) // 2
+    assert vanishes_for_all(G("Z_3"), 1).skipped_degree == 1
+
+
+def _agrees_with_reference(group, n):
+    v = vanishes_for_all(group, n)
+    kind, witness, chi_order = reference_vanishing(group, n)
+    return v.kind == kind and v.witness == witness and v.chi_order == chi_order
+
+
+CRITERION_CELLS = [("Z^4", 2), ("Z^3", 3), ("Z_2~ x Z_2", 2), ("Z_2~ x Z_2", 3),
+                   ("Z_3", 2), ("Z_3", 1), ("Z^3 x Z_3", 3)]
+
+
+@pytest.mark.parametrize("group, n", SHARPNESS_CELLS + CRITERION_CELLS)
+def test_vanishing_matches_the_reference_loop(group, n):
+    assert _agrees_with_reference(G(group), n)
+
+
+def test_vanishing_matches_the_reference_loop_on_the_grid():
+    cells = [(g, n) for g, n in criterion_grid() if homology(g, n).num_generators <= 30]
+    assert len(cells) == 1058
+    assert [(str(g), n) for g, n in cells if not _agrees_with_reference(g, n)] == []

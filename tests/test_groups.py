@@ -1,5 +1,7 @@
 """Group grammar: parsing, formatting, validation, round trips."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -14,6 +16,7 @@ from twisthom import (
     format_group_spec,
     parse_group_spec,
 )
+from twisthom.homology import homology
 
 
 @pytest.mark.parametrize(
@@ -130,3 +133,18 @@ def test_group_spec_is_hashable_and_consistent(group: GroupSpec):
         assert group.group_order == expected
     else:
         assert group.group_order == 0
+
+
+def test_group_specs_are_values():
+    a = parse_group_spec("Z^2 x Z_4~")
+    b = GroupSpec((CyclicFactor(0), CyclicFactor(0), CyclicFactor(4, -1)))
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert homology(a, 3) is homology(b, 3)
+    for g in (a, b):
+        back = pickle.loads(pickle.dumps(g))
+        assert back == a and hash(back) == hash(a)
+        assert homology(back, 3) is homology(a, 3)
+    assert a != parse_group_spec("Z^2 x Z_4")
+    assert a != parse_group_spec("Z x Z_4~ x Z")
+    assert a != a.factors
