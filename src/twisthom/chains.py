@@ -215,30 +215,27 @@ def block_key(group: GroupSpec, mon: Monomial) -> Monomial:
                  for o, s, i in zip(orders, signs, mon))
 
 
-def product_block_key(group: GroupSpec, a: Monomial, b: Monomial, degree: int) -> Monomial | None:
-    """The block key of every monomial of a degree-``degree`` product x ^ y
-    with x in the block of ``a`` and y in the block of ``b``, or None when
-    every such product is zero.
+def product_block_key(group: GroupSpec, a: Monomial, b: Monomial) -> Monomial | None:
+    """The block key of every monomial of a product x ^ y with x in the
+    block of ``a`` and y in the block of ``b``, or None when every such
+    product is zero.
 
-    Slot by slot: an untwisted Z adds its degrees, and two 1s die by the
-    exterior rule; a twisted Z stays at 0; an untwisted Z_q gives a+b+1
-    when both keys are nonzero (odd ^ odd dies, so one side is raised)
-    and a+b otherwise; a twisted Z_q gives a+b.  A key whose total degree
-    is above ``degree`` holds no monomial of that degree.
+    Slot by slot the target is a+b, except on an untwisted slot where both
+    keys are nonzero: on Z the product dies by the exterior rule
+    ([1] ^ [1] = 0), and on Z_q odd ^ odd dies, so one side is raised and
+    the target is a+b+1.  A twisted Z slot's key is always 0, so its
+    target is 0.
     """
     orders, signs = _slot_data(group)
     out = []
     for o, s, i, j in zip(orders, signs, a, b):
-        if o == 0:
-            if s == -1:
-                out.append(0)
-            elif i + j > 1:
+        if i and j and s == 1:
+            if not o:
                 return None
-            else:
-                out.append(i + j)
+            out.append(i + j + 1)
         else:
-            out.append(i + j + 1 if s == 1 and i and j else i + j)
-    return tuple(out) if sum(out) <= degree else None
+            out.append(i + j)
+    return tuple(out)
 
 
 def block_pairing(group: GroupSpec, key: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -15,15 +15,15 @@ rules skip a pair without forming its product, and both are exact:
 * free overlap -- the untwisted Z slots have no pairs, so every monomial
   of a block carries its key's degree there, and [1] ^ [1] = 0 on such a
   slot: when both keys hold a 1 in the same untwisted Z slot, every term
-  of the product dies;
+  of the product dies (``product_block_key`` returns None);
 * degree -- every monomial of a block has at least its key's total
   degree, so when the target key's total is above 2n no monomial of
   degree 2n lies in the block and the product is zero.
 
-Since the differential keeps every block, a product that is formed is a
-boundary exactly when it is one in its target block, so it is checked as
-a cycle and reduced there alone (a block with no homology still gets the
-cycle check).
+Any other product goes to ``is_boundary``, which splits a chain by block
+and checks each part as a cycle and reduces it in its block; a product
+lies in one block, so that block alone is touched (a block with no
+homology still gets the cycle check).
 
 ``theorem_cover`` is the purely syntactic companion: it recognizes the
 group shapes and degree ranges for which vanishing is guaranteed without
@@ -43,6 +43,7 @@ from .homology import (
     class_order,
     generating_cycles,
     homology,
+    is_boundary,
 )
 from .pontryagin import inversion_chain, wedge
 
@@ -132,25 +133,22 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     gens = generating_cycles(group, n)
     jgens = [inversion_chain(z) for z in gens]
     keys = [block_key(group, next(iter(z.terms))) for z in gens]
-    free = [k for k, f in enumerate(group.factors) if f.order == 0 and f.sign == 1]
-    masks = [sum(1 << k for k in free if key[k]) for key in keys]
-    h = homology(group, 2 * n)
     sign = -1 if n % 2 else 1
     m = len(gens)
     formed = skipped_free = skipped_degree = 0
     for i, j in itertools.chain(zip(range(m), range(m)), itertools.combinations(range(m), 2)):
-        if masks[i] & masks[j]:
+        key = product_block_key(group, keys[i], keys[j])
+        if key is None:
             skipped_free += 1
             continue
-        key = product_block_key(group, keys[i], keys[j], 2 * n)
-        if key is None:
+        if sum(key) > 2 * n:
             skipped_degree += 1
             continue
         formed += 1
         value = wedge(gens[i], jgens[j])
         if i != j and not value.is_zero:
             value = value + sign * inversion_chain(value)
-        if not value.is_zero and not h.bounds_in_block(key, value):
+        if not is_boundary(value):
             witness = gens[i] if i == j else gens[i] + gens[j]
             chi = value if i == j else chi_chain(witness)
             return Verdict(NONZERO_WITNESS, group, n, witness=witness, chi_chain=chi,

@@ -189,7 +189,7 @@ class HomologyPresentation:
     def __init__(self, group: GroupSpec, degree: int):
         self.group = group
         self.degree = degree
-        self._blocks: dict = {}  # block key -> (slots, _Koszul)
+        self._blocks: dict = {}  # block key -> (slots, _Koszul), blocks with homology
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HomologyPresentation)
@@ -199,10 +199,14 @@ class HomologyPresentation:
         return hash((self.group, self.degree))
 
     def _block(self, key):
+        """(slots, _Koszul) of the block of ``key``.  Only blocks with
+        homology are kept; one without is rebuilt for each cycle check."""
         block = self._blocks.get(key)
         if block is None:
             slots, coeffs = block_pairing(self.group, key)
-            block = self._blocks[key] = (slots, _koszul(coeffs, self.degree - sum(key)))
+            block = (slots, _koszul(coeffs, self.degree - sum(key)))
+            if block[1].cycles:
+                self._blocks[key] = block
         return block
 
     @cached_property
@@ -273,12 +277,6 @@ class HomologyPresentation:
             kos, vec = self._local(key, terms)
             if kos.cycles:
                 yield key, kos, *kos.core.class_coords(vec)
-
-    def bounds_in_block(self, key, chain: Chain) -> bool:
-        """Whether a chain whose terms all lie in the block of ``key`` is a
-        boundary; raises ``NotACycleError`` if it is not a cycle."""
-        kos, vec = self._local(key, chain.terms.items())
-        return not kos.cycles or not any(map(any, kos.core.class_coords(vec)))
 
     def _check_home(self, chain: Chain) -> None:
         if chain.group != self.group or chain.degree != self.degree:
