@@ -417,15 +417,21 @@ class _Window:
         return AbelianType.from_divisors(self.pres.free_rank, self.pres.torsion)
 
 
+# Built windows by (group, degree), oldest first.  Past _MAX_WINDOWS the
+# oldest is dropped; the oracle comparison builds 44.
 _WINDOWS: dict[tuple[GroupSpec, int], _Window] = {}
+_MAX_WINDOWS = 64
 
 
 def _window(group: GroupSpec, n: int, cap: int) -> _Window:
     _check_cap(group, (n, n + 1), cap)
     key = (group, n)
-    if key not in _WINDOWS:
-        _WINDOWS[key] = _Window(group, n)
-    return _WINDOWS[key]
+    win = _WINDOWS.get(key)
+    if win is None:
+        win = _WINDOWS[key] = _Window(group, n)
+        if len(_WINDOWS) > _MAX_WINDOWS:
+            del _WINDOWS[next(iter(_WINDOWS))]
+    return win
 
 
 def bar_homology(group: GroupSpec, n: int, cap: int = 20000) -> AbelianType:

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .groups import GroupSpec, _slot_data
+from .groups import GroupSpec
 
 Monomial = tuple
 
@@ -121,7 +121,7 @@ def monomial_chain(group: GroupSpec, monomial, coefficient: int = 1) -> Chain:
 
 
 def _validate_monomial(group: GroupSpec, mon: Monomial) -> None:
-    orders, _ = _slot_data(group)
+    orders = group.orders
     if len(mon) != len(orders):
         raise InvalidMonomialError(f"expected {len(orders)} slots, got {len(mon)}")
     for k, i in enumerate(mon):
@@ -179,7 +179,7 @@ def _atomic_boundary(order: int, sign: int, i: int) -> tuple[int, int] | None:
 def boundary(chain: Chain) -> Chain:
     """The differential.  Degree-0 chains map to the zero chain in degree -1."""
     group = chain.group
-    orders, signs = _slot_data(group)
+    orders, signs = group.orders, group.signs
     out: dict = {}
     for mon, coef in chain.terms.items():
         parity = 0  # degree sum strictly before the current slot, mod 2
@@ -210,7 +210,7 @@ def block_key(group: GroupSpec, mon: Monomial) -> Monomial:
     lower ends.  Each slot whose differential is nonzero in its degree
     drops to the lower end of its pair; the others stay.
     """
-    orders, signs = _slot_data(group)
+    orders, signs = group.orders, group.signs
     return tuple(i - 1 if i and _atomic_boundary(o, s, i) else i
                  for o, s, i in zip(orders, signs, mon))
 
@@ -226,7 +226,7 @@ def product_block_key(group: GroupSpec, a: Monomial, b: Monomial) -> Monomial | 
     the target is a+b+1.  A twisted Z slot's key is always 0, so its
     target is 0.
     """
-    orders, signs = _slot_data(group)
+    orders, signs = group.orders, group.signs
     out = []
     for o, s, i, j in zip(orders, signs, a, b):
         if i and j and s == 1:
@@ -247,7 +247,7 @@ def block_pairing(group: GroupSpec, key: Monomial) -> tuple[tuple[int, ...], tup
     into the coefficient here, so the block is the Koszul complex on the
     signed coefficients with its standard exterior signs.
     """
-    orders, signs = _slot_data(group)
+    orders, signs = group.orders, group.signs
     slots, coeffs = [], []
     parity = 0  # key degree sum strictly before the current slot, mod 2
     for k, i in enumerate(key):

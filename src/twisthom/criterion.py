@@ -64,6 +64,9 @@ class Verdict:
     ``witness`` and the ``chi_*`` fields are set only for NonzeroWitness;
     ``case`` only for TheoremCovered.  ``chi_order`` uses 0 for infinite.
 
+    ``witness`` and ``chi_chain`` are chains, which do not hash, so they
+    take part in equality but not in the hash.
+
     The provenance fields are set by ``vanishes_for_all`` and take no part
     in equality: the generator count, the pairs whose product was formed,
     the pairs skipped by each rule (free overlap, degree), and for a
@@ -75,8 +78,8 @@ class Verdict:
     group: GroupSpec
     degree: int
     case: str | None = None
-    witness: Chain | None = None
-    chi_chain: Chain | None = None
+    witness: Chain | None = field(default=None, hash=False)
+    chi_chain: Chain | None = field(default=None, hash=False)
     chi_order: int | None = None
     generators: int | None = field(default=None, compare=False)
     pairs_formed: int | None = field(default=None, compare=False)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class GroupSpecError(ValueError):
@@ -86,6 +85,8 @@ class GroupSpec:
 
     Equality and hashing use the ``(order, sign)`` pairs, and the hash is
     computed once here: every cache in the package is keyed on groups.
+    ``orders`` and ``signs`` are the per-slot tuples the chain and product
+    loops read.
     """
 
     factors: tuple[CyclicFactor, ...] = ()
@@ -96,6 +97,8 @@ class GroupSpec:
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "orders", tuple(f.order for f in factors))
+        object.__setattr__(self, "signs", tuple(f.sign for f in factors))
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, GroupSpec) and self._key == other._key)
@@ -127,14 +130,6 @@ class GroupSpec:
     def twisted(self) -> bool:
         """True if the orientation character is nontrivial."""
         return any(f.twisted for f in self.factors)
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(f.order for f in self.factors)
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(f.sign for f in self.factors)
 
     def __str__(self) -> str:
         return format_group_spec(self)
@@ -182,9 +177,3 @@ def format_group_spec(group: GroupSpec) -> str:
         base = "Z" if not f.is_finite else f"Z_{f.order}"
         parts.append(base + ("~" if f.twisted else ""))
     return " x ".join(parts)
-
-
-@lru_cache(maxsize=None)
-def _slot_data(group: GroupSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # (orders, signs) as plain tuples, for the hot loops in chains/product code.
-    return group.orders, group.signs

@@ -6,11 +6,15 @@ so the whole complex is a direct sum of Koszul complexes K(c_1..c_m), one
 per block key (see :func:`twisthom.chains.block_key`).
 ``homology(group, n)`` presents H_n as the direct sum of the blocks'
 homology: each block is presented once per shape (signed coefficients and
-degree) by ``quotient_presentation`` on its t-subsets, and a block whose
-coefficients have gcd 1 is exact and drops out.  A chain is checked as a
-cycle on each block's Koszul columns, and reduced, tested for bounding, or
-given its order block by block, touching only the blocks its terms lie
-in.  Presentations are cached per ``(group, n)`` and compare equal when
+degree) by ``quotient_presentation`` on its t-subsets.  That takes the
+block's cycles from the column-only Smith form of its outgoing
+differential, and its generators from the Smith form of the transposed
+incoming differential written in cycle coordinates; it hands out one
+coordinate row and one cycle vector per generator.  A block whose
+coefficients have gcd 1 is exact: its presentation is empty and it drops
+out.  A chain is checked as a cycle on each block's Koszul columns, and
+reduced, tested for bounding, or given its order block by block, touching
+only the blocks its terms lie in.  Presentations are cached per ``(group, n)`` and compare equal when
 ``(group, n)`` is equal.
 
 >>> from .groups import parse_group_spec
@@ -133,16 +137,15 @@ def _koszul_columns(coeffs: tuple[int, ...], t: int) -> list[dict[int, int]]:
 @dataclass(frozen=True)
 class _Koszul:
     """H_t of one Koszul block shape: the t-subsets, their index, the
-    differential's columns on them, the presentation over them, and one
-    cycle vector per generator (torsion first, as the presentation orders
-    them).  A block whose coefficients have gcd 1 is exact: it has no
-    presentation and no cycles."""
+    differential's columns on them, and the presentation over them, whose
+    ``generators`` are one cycle vector per generator (torsion first).  A
+    block whose coefficients have gcd 1 is exact: its presentation is
+    empty."""
 
     subsets: tuple[tuple[int, ...], ...]
     index: dict
     columns: list[dict[int, int]]
-    core: QuotientPresentation | None
-    cycles: tuple[dict[int, int], ...]
+    core: QuotientPresentation
 
     def is_cycle(self, vec: dict[int, int]) -> bool:
         """Whether the block's differential kills a local vector."""
@@ -160,14 +163,11 @@ def _koszul(coeffs: tuple[int, ...], t: int) -> _Koszul:
     index = {s: i for i, s in enumerate(subsets)}
     columns = _koszul_columns(coeffs, t)
     if gcd(*coeffs) == 1:
-        return _Koszul(subsets, index, columns, None, ())
-    core = quotient_presentation(columns, comb(m, t - 1) if t else 0,
-                                 _koszul_columns(coeffs, t + 1))
-    nt = len(core.torsion)
-    units = [tuple(int(i == j) for i in range(nt + core.free_rank))
-             for j in range(nt + core.free_rank)]
-    cycles = tuple(core.vector_from_coords(u[nt:], u[:nt]) for u in units)
-    return _Koszul(subsets, index, columns, core, cycles)
+        core = QuotientPresentation((), 0, (), ())
+    else:
+        core = quotient_presentation(columns, comb(m, t - 1) if t else 0,
+                                     _koszul_columns(coeffs, t + 1))
+    return _Koszul(subsets, index, columns, core)
 
 
 class HomologyPresentation:
@@ -205,7 +205,7 @@ class HomologyPresentation:
         if block is None:
             slots, coeffs = block_pairing(self.group, key)
             block = (slots, _koszul(coeffs, self.degree - sum(key)))
-            if block[1].cycles:
+            if block[1].core.generators:
                 self._blocks[key] = block
         return block
 
@@ -214,12 +214,12 @@ class HomologyPresentation:
         """Block key -> index of its first generator, in generator order."""
         group, n = self.group, self.degree
         keys = [k for k in dict.fromkeys(block_key(group, m) for m in basis(group, n))
-                if self._block(k)[1].cycles]
+                if self._block(k)[1].core.generators]
         keys.sort(key=lambda k: not self._block(k)[1].core.torsion)
         out, start = {}, 0
         for k in keys:
             out[k] = start
-            start += len(self._block(k)[1].cycles)
+            start += len(self._block(k)[1].core.generators)
         return out
 
     @cached_property
@@ -244,7 +244,7 @@ class HomologyPresentation:
         out = []
         for key in self._layout:
             slots, kos = self._block(key)
-            for vec in kos.cycles:
+            for vec in kos.core.generators:
                 terms = {}
                 for i, v in vec.items():
                     mon = list(key)
@@ -275,7 +275,7 @@ class HomologyPresentation:
             split.setdefault(block_key(self.group, mon), []).append((mon, coef))
         for key, terms in split.items():
             kos, vec = self._local(key, terms)
-            if kos.cycles:
+            if kos.core.generators:
                 yield key, kos, *kos.core.class_coords(vec)
 
     def _check_home(self, chain: Chain) -> None:

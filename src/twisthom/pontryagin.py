@@ -24,7 +24,6 @@ from __future__ import annotations
 from math import comb
 
 from .chains import Chain, GroupMismatchError
-from .groups import _slot_data
 
 
 def _atomic_wedge(order: int, a: int, b: int) -> int:
@@ -41,7 +40,7 @@ def wedge(x: Chain, y: Chain) -> Chain:
     if x.group != y.group:
         raise GroupMismatchError("wedge operands over different groups")
     group = x.group
-    orders, _ = _slot_data(group)
+    orders = group.orders
     l = len(orders)
     out: dict = {}
     for ma, ca in x.terms.items():
@@ -92,7 +91,7 @@ def inversion_chain(chain: Chain) -> Chain:
     Monomials are fixed up to an integer multiple, so no Koszul signs
     arise; on homology the induced map squares to the identity.
     """
-    orders, signs = _slot_data(chain.group)
+    orders, signs = chain.group.orders, chain.group.signs
     out: dict = {}
     for mon, coef in chain.terms.items():
         m = coef

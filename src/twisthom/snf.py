@@ -3,14 +3,17 @@
 Everything here works over Z with arbitrary-precision Python ints; nothing
 is ever done in floating point or a fixed-width dtype.  Two layers:
 
-* :func:`smith_normal_form` -- dense Smith normal form with the unimodular
-  transforms (and optionally their inverses) tracked through every
-  elementary operation.  Pivots are chosen by minimal absolute value to
-  keep intermediate entries small.
-* :func:`quotient_presentation` -- the reduction data for a subquotient
-  lattice ker E / im D, built from the two Smith forms.  This is the one
-  piece of plumbing shared by the small-resolution homology engine, which
-  calls it once per Koszul block shape, and the bar-resolution oracle.
+* :func:`smith_normal_form` -- Smith normal form that tracks only the
+  column transform V and its inverse, which give the kernel and kernel
+  coordinates.  Pivots are chosen by minimal absolute value to keep
+  intermediate entries small.
+* :func:`quotient_presentation` -- a subquotient lattice ker E / im D,
+  presented by one coordinate row and one cycle per generator.  It takes
+  the kernel from the Smith form of E, and the row transform of D written
+  in kernel coordinates from the Smith form of that matrix's transpose.
+  This is the one piece of plumbing shared by the small-resolution
+  homology engine, which calls it once per Koszul block shape, and the
+  bar-resolution oracle.
 """
 
 from __future__ import annotations
@@ -24,43 +27,39 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 @dataclass
 class SmithNormalForm:
-    """Holds U @ M @ V == D with U, V unimodular and D diagonal.
+    """The column half of U @ M @ V == D, with U, V unimodular and D diagonal.
 
-    The diagonal entries are nonnegative and form a divisor chain
-    d1 | d2 | ... | dr, followed by zeros.  ``Uinv``/``Vinv`` are only
-    present when requested, and ``V`` can be switched off entirely for
-    wide matrices whose column transform would dwarf the matrix itself.
+    Only ``V`` and its inverse ``Vinv`` are kept: the first ``rank`` columns
+    of M @ V span the image and the rest are zero, so the last columns of
+    ``V`` are a kernel basis and the last rows of ``Vinv`` give kernel
+    coordinates.  ``divisors`` are D's positive diagonal entries, a divisor
+    chain d1 | d2 | ... | dr.
     """
 
-    U: list[list[int]]
-    D: list[list[int]]
-    V: list[list[int]] | None
-    Uinv: list[list[int]] | None
-    Vinv: list[list[int]] | None
-    rank: int
+    V: list[list[int]]
+    Vinv: list[list[int]]
+    divisors: list[int]
 
     @property
-    def divisors(self) -> list[int]:
-        return [self.D[i][i] for i in range(self.rank)]
+    def rank(self) -> int:
+        return len(self.divisors)
 
 
-def smith_normal_form(matrix, ncols: int | None = None,
-                      want_uinv: bool = False, want_vinv: bool = False,
-                      want_v: bool = True) -> SmithNormalForm:
+def smith_normal_form(matrix, ncols: int | None = None) -> SmithNormalForm:
     """Smith normal form of an integer matrix given as a list of rows.
 
     ``ncols`` disambiguates the shape when the matrix has zero rows.
     Deterministic: each pivot is the remaining entry of minimal absolute
-    value, ties broken by position.  The working copy is kept as mirrored
-    sparse row/column dicts so pivot searches cost the number of surviving
-    nonzeros, not the full shape; transforms are dense.  ``want_v=False``
-    skips the ncols x ncols column transform, which is the only quadratic
-    cost in the column count; callers that need divisors and row data on
-    a very wide matrix should switch it off.
+    value, ties broken by position, and a negative pivot is made positive
+    by negating its column.  The working copy is kept as mirrored sparse
+    row/column dicts so pivot searches cost the number of surviving
+    nonzeros, not the full shape; the transforms are dense.
 
-    >>> res = smith_normal_form([[2, 0], [0, 3]])
-    >>> [res.D[0][0], res.D[1][1]]
+    >>> smith_normal_form([[2, 0], [0, 3]]).divisors
     [1, 6]
+    >>> res = smith_normal_form([[2, 4]])
+    >>> res.divisors, [row[res.rank] for row in res.V]
+    ([2], [-2, 1])
     """
     m = len(matrix)
     if m:
@@ -78,12 +77,8 @@ def smith_normal_form(matrix, ncols: int | None = None,
     for i, row in enumerate(rows):
         for j, v in row.items():
             cols[j][i] = v
-    if want_vinv and not want_v:
-        raise ValueError("want_vinv needs the column transform")
-    U = identity_matrix(m)
-    V = identity_matrix(n) if want_v else None
-    Uinv = identity_matrix(m) if want_uinv else None
-    Vinv = identity_matrix(n) if want_vinv else None
+    V = identity_matrix(n)
+    Vinv = identity_matrix(n)
 
     def row_combine(i, t, q):
         # row i -= q * row t
@@ -96,14 +91,6 @@ def smith_normal_form(matrix, ncols: int | None = None,
             else:
                 ri.pop(j, None)
                 cols[j].pop(i, None)
-        Ui, Ut = U[i], U[t]
-        for j in range(m):
-            if Ut[j]:
-                Ui[j] -= q * Ut[j]
-        if Uinv is not None:
-            for row in Uinv:
-                if row[i]:
-                    row[t] += q * row[i]
 
     def col_combine(j, t, q):
         # col j -= q * col t
@@ -116,15 +103,13 @@ def smith_normal_form(matrix, ncols: int | None = None,
             else:
                 cj.pop(i, None)
                 rows[i].pop(j, None)
-        if V is not None:
-            for row in V:
-                if row[t]:
-                    row[j] -= q * row[t]
-        if Vinv is not None:
-            Vt, Vj = Vinv[t], Vinv[j]
-            for k in range(n):
-                if Vj[k]:
-                    Vt[k] += q * Vj[k]
+        for row in V:
+            if row[t]:
+                row[j] -= q * row[t]
+        Vt, Vj = Vinv[t], Vinv[j]
+        for k in range(n):
+            if Vj[k]:
+                Vt[k] += q * Vj[k]
 
     live_rows = set(range(m))
     live_cols = set(range(n))
@@ -191,125 +176,68 @@ def smith_normal_form(matrix, ncols: int | None = None,
                 break
             row_combine(pi, offender, -1)  # row pi += row offender
         if rows[pi][pj] < 0:
-            for j in list(rows[pi]):
-                rows[pi][j] = -rows[pi][j]
-                cols[j][pi] = rows[pi][j]
-            Ui = U[pi]
-            for j in range(m):
-                Ui[j] = -Ui[j]
-            if Uinv is not None:
-                for row in Uinv:
-                    row[pi] = -row[pi]
+            # Row and column of the pivot are clear: negate its column.
+            rows[pi][pj] = cols[pj][pi] = -rows[pi][pj]
+            for row in V:
+                row[pj] = -row[pj]
+            Vinv[pj] = [-v for v in Vinv[pj]]
         pivot_rows.append(pi)
         pivot_cols.append(pj)
         live_rows.discard(pi)
         live_cols.discard(pj)
 
-    rank = len(pivot_rows)
-    row_order = pivot_rows + sorted(live_rows)
     col_order = pivot_cols + sorted(live_cols)
-    D = [[0] * n for _ in range(m)]
-    for t in range(rank):
-        D[t][t] = rows[pivot_rows[t]][pivot_cols[t]]
-    U = [U[i] for i in row_order]
-    if V is not None:
-        V = [[row[j] for j in col_order] for row in V]
-    if Uinv is not None:
-        Uinv = [[row[i] for i in row_order] for row in Uinv]
-    if Vinv is not None:
-        Vinv = [Vinv[j] for j in col_order]
-    return SmithNormalForm(U=U, D=D, V=V, Uinv=Uinv, Vinv=Vinv, rank=rank)
+    return SmithNormalForm(
+        V=[[row[j] for j in col_order] for row in V],
+        Vinv=[Vinv[j] for j in col_order],
+        divisors=[rows[i][j] for i, j in zip(pivot_rows, pivot_cols)],
+    )
 
 
 @dataclass
 class QuotientPresentation:
-    """Reduction data for H = ker E / im D inside Z^ncols.
+    """Reduction data for H = ker E / im D inside Z^ncols, one entry per
+    generator, torsion generators first.
 
-    ``kernel`` has one length-``ncols`` column per kernel basis vector;
-    ``coords`` recovers kernel coordinates of any cycle (its rows are the
-    bottom rows of the inverse column transform of E's Smith form).  The
-    quotient's own Smith data (``ux``, ``uxinv``, ``diag``) turns kernel
-    coordinates into homology coordinates:
-
-        u = ux @ w;  torsion coordinates u[i] mod diag[i] at the positions
-        with diag[i] > 1, free coordinates u[rank_x:].
+    ``coord_rows[i]`` is a dense length-``ncols`` row whose dot product
+    with a cycle is the cycle's i-th homology coordinate (taken mod
+    ``torsion[i]`` for a torsion generator); ``generators[i]`` is a sparse
+    cycle whose class is the i-th generator.
     """
 
-    ncols: int
-    kernel: list[list[int]]          # ncols x k, columns are a kernel basis
-    coords: list[list[int]]          # k x ncols
-    ux: list[list[int]]              # k x k
-    uxinv: list[list[int]]           # k x k
-    rank_x: int
-    diag: list[int]                  # rank_x entries, divisor chain
-    torsion: tuple[int, ...]         # diag entries > 1
-    tor_positions: tuple[int, ...]   # their indices in diag
+    torsion: tuple[int, ...]
     free_rank: int
-
-    @property
-    def kernel_rank(self) -> int:
-        return len(self.coords)
-
-    def kernel_coords(self, vector: dict[int, int]) -> list[int]:
-        """Coordinates w with kernel @ w == vector; caller guarantees a cycle."""
-        k = self.kernel_rank
-        w = [0] * k
-        for idx, val in vector.items():
-            if val:
-                for i in range(k):
-                    c = self.coords[i][idx]
-                    if c:
-                        w[i] += val * c
-        return w
+    coord_rows: tuple[list[int], ...]
+    generators: tuple[dict[int, int], ...]
 
     def class_coords(self, vector: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(free, torsion) homology coordinates of a cycle."""
-        w = self.kernel_coords(vector)
-        k = self.kernel_rank
-        u = [0] * k
-        for i in range(k):
-            row = self.ux[i]
-            s = 0
-            for j in range(k):
-                if row[j] and w[j]:
-                    s += row[j] * w[j]
-            u[i] = s
-        free = tuple(u[self.rank_x:])
-        torsion = tuple(u[p] % self.diag[p] for p in self.tor_positions)
-        return free, torsion
+        """(free, torsion) homology coordinates of a cycle; the caller
+        guarantees it is one."""
+        u = [sum(v * row[idx] for idx, v in vector.items()) for row in self.coord_rows]
+        nt = len(self.torsion)
+        return tuple(u[nt:]), tuple(c % d for c, d in zip(u, self.torsion))
 
     def vector_from_coords(self, free, torsion) -> dict[int, int]:
         """A representative cycle with the given homology coordinates."""
-        k = self.kernel_rank
-        u = [0] * k
-        for pos, c in zip(self.tor_positions, torsion):
-            u[pos] = c
-        for j, c in enumerate(free):
-            u[self.rank_x + j] = c
-        w = [0] * k
-        for i in range(k):
-            row = self.uxinv[i]
-            s = 0
-            for j in range(k):
-                if row[j] and u[j]:
-                    s += row[j] * u[j]
-            w[i] = s
         vec: dict[int, int] = {}
-        for idx in range(self.ncols):
-            s = 0
-            kern = self.kernel[idx]
-            for i in range(k):
-                if kern[i] and w[i]:
-                    s += kern[i] * w[i]
-            if s:
-                vec[idx] = s
-        return vec
+        for c, gen in zip((*torsion, *free), self.generators):
+            if c:
+                for idx, v in gen.items():
+                    vec[idx] = vec.get(idx, 0) + c * v
+        return {idx: v for idx, v in vec.items() if v}
 
 
 def quotient_presentation(e_columns: list[dict[int, int]], nrows_e: int,
                           d_columns: list[dict[int, int]]) -> QuotientPresentation:
     """Present ker E / im D, with E given by sparse columns over row indices
     0..nrows_e-1 and D by sparse columns over E's column indices.
+
+    The last k columns of E's V are a kernel basis, and the last k rows of
+    its Vinv give kernel coordinates.  X, D written in those coordinates,
+    is brought to Smith form by a row transform ux; the Smith form of X's
+    transpose, whose rows are D's columns, supplies it as ux = V'^T.  Each
+    generator, at a position p with a divisor above 1 or past the rank,
+    keeps row p of ux @ coords and column p of kernel @ ux^-1.
 
     im D must lie inside ker E (the caller's boundary-squared guarantee);
     this is checked via the part of the coordinate solve that must vanish,
@@ -320,37 +248,35 @@ def quotient_presentation(e_columns: list[dict[int, int]], nrows_e: int,
     for j, col in enumerate(e_columns):
         for i, v in col.items():
             dense[i][j] = v
-    res = smith_normal_form(dense, ncols=ncols, want_vinv=True)
+    res = smith_normal_form(dense, ncols=ncols)
     r = res.rank
     k = ncols - r
-    kernel = [[res.V[idx][r + i] for i in range(k)] for idx in range(ncols)]
-    coords = res.Vinv[r:] if k else []
+    coords = res.Vinv[r:]
     for col in d_columns:
         for row in res.Vinv[:r]:
             if sum(row[idx] * v for idx, v in col.items()):
                 raise ValueError("boundary column escapes the kernel")
-    x_rows = [[0] * len(d_columns) for _ in range(k)]
-    for j, col in enumerate(d_columns):
-        for idx, val in col.items():
-            if val:
-                for i in range(k):
-                    c = coords[i][idx]
-                    if c:
-                        x_rows[i][j] += val * c
-    xres = smith_normal_form(x_rows, ncols=len(d_columns), want_uinv=True,
-                             want_v=False)
-    diag = [xres.D[i][i] for i in range(xres.rank)]
-    tor_positions = tuple(i for i, d in enumerate(diag) if d > 1)
-    torsion = tuple(diag[i] for i in tor_positions)
+    x_t = [[sum(v * coords[i][idx] for idx, v in col.items()) for i in range(k)]
+           for col in d_columns]
+    xres = smith_normal_form(x_t, ncols=k)
+    keep = [p for p, d in enumerate(xres.divisors) if d > 1] + list(range(xres.rank, k))
+    kernel = [[row[r + i] for row in res.V] for i in range(k)]
+
+    def combine(vectors, weights):
+        out = [0] * ncols
+        for w, vec in zip(weights, vectors):
+            if w:
+                for idx, x in enumerate(vec):
+                    if x:
+                        out[idx] += w * x
+        return out
+
+    coord_rows = tuple(combine(coords, [row[p] for row in xres.V]) for p in keep)
+    generators = tuple({idx: v for idx, v in enumerate(combine(kernel, xres.Vinv[p])) if v}
+                       for p in keep)
     return QuotientPresentation(
-        ncols=ncols,
-        kernel=kernel,
-        coords=coords,
-        ux=xres.U,
-        uxinv=xres.Uinv,
-        rank_x=xres.rank,
-        diag=diag,
-        torsion=torsion,
-        tor_positions=tor_positions,
+        torsion=tuple(d for d in xres.divisors if d > 1),
         free_rank=k - xres.rank,
+        coord_rows=coord_rows,
+        generators=generators,
     )

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from support import G
-from twisthom import CapExceededError, InfiniteGroupError, homology_type
+from twisthom import CapExceededError, InfiniteGroupError, bar, homology_type
 from twisthom.bar import (
     bar_boundary,
     bar_chain,
@@ -167,6 +167,19 @@ def test_caps():
         bar_homology(G("Z_3 x Z_3"), 4, cap=20000)
     with pytest.raises(CapExceededError):
         chi_profile("bar", G("Z_3"), 3, cap=100)
+
+
+def test_window_cache_is_bounded():
+    bar._WINDOWS.clear()
+    cells = [(G(f"Z_{q}"), n) for q in range(2, 36) for n in (0, 1)]
+    assert len(cells) > bar._MAX_WINDOWS
+    first = [bar_homology(g, n) for g, n in cells[:4]]
+    for g, n in cells:
+        bar_homology(g, n)
+        assert len(bar._WINDOWS) <= bar._MAX_WINDOWS
+    assert all((g, n) not in bar._WINDOWS for g, n in cells[:4])
+    assert [bar_homology(g, n) for g, n in cells[:4]] == first
+    assert first == [homology_type(g, n) for g, n in cells[:4]]
 
 
 def test_infinite_groups_rejected():

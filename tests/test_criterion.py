@@ -224,6 +224,38 @@ def test_verdict_provenance():
     assert vanishes_for_all(G("Z_3"), 1).skipped_degree == 1
 
 
+def test_verdicts_hash():
+    for group, n in SHARPNESS_CELLS + [("Z_3 x Z_3", 3)]:
+        v = vanishes_for_all(G(group), n)
+        twin = Verdict(v.kind, v.group, v.degree, witness=v.witness,
+                       chi_chain=v.chi_chain, chi_order=v.chi_order)
+        assert v == twin and hash(v) == hash(twin)
+        assert len({v, twin}) == 1
+
+
+# The witness of each sharpness cell, pinned as printed: a change in how
+# generators are chosen (their signs, or which cycle presents a class)
+# moves these strings even when every verdict stays the same.
+SHARPNESS_WITNESSES = {
+    ("Z^4", 2): "[0 0 1 1] + [1 1 0 0]",
+    ("Z^3 x Z_3", 3): "[0 0 0 3] + [1 1 1 0]",
+    ("Z^7 x Z_3", 6): "-[0 0 0 0 0 0 1 5] + [1 1 1 1 1 1 0 0]",
+    ("Z^7 x Z_3", 7): "[0 0 0 0 0 0 0 7] + [1 1 1 1 1 1 1 0]",
+    ("Z^2 x Z_3 x Z_3", 4): "-[0 1 0 3] - [1 0 1 2] - [1 0 2 1]",
+    ("Z^2 x Z_3 x Z_3", 5): "[0 0 0 5] + [1 1 3 0]",
+    ("Z x Z_3 x Z_3 x Z_3", 4): "[0 0 1 3] - [1 1 0 2] - [1 2 0 1]",
+    ("Z x Z_3 x Z_3 x Z_3", 7): "[0 0 0 7] - [1 1 1 4] + [1 2 1 3]",
+    ("Z_3 x Z_3 x Z_3 x Z_3", 5): "[0 0 0 5] + [1 1 3 0]",
+    ("Z_3 x Z_3 x Z_3 x Z_3", 6): "[0 0 1 5] + [1 1 4 0] - [2 1 3 0]",
+    ("Z^8 x Z_2", 4): "[0 0 0 0 1 1 1 1 0] + [1 1 1 1 0 0 0 0 0]",
+}
+
+
+@pytest.mark.parametrize("group, n", SHARPNESS_CELLS)
+def test_sharpness_witness_is_pinned(group, n):
+    assert format_chain(vanishes_for_all(G(group), n).witness) == SHARPNESS_WITNESSES[group, n]
+
+
 def _agrees_with_reference(group, n):
     v = vanishes_for_all(group, n)
     kind, witness, chi_order = reference_vanishing(group, n)

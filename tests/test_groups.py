@@ -144,6 +144,7 @@ def test_group_specs_are_values():
     for g in (a, b):
         back = pickle.loads(pickle.dumps(g))
         assert back == a and hash(back) == hash(a)
+        assert (back.orders, back.signs) == ((0, 0, 4), (1, 1, -1))
         assert homology(back, 3) is homology(a, 3)
     assert a != parse_group_spec("Z^2 x Z_4")
     assert a != parse_group_spec("Z x Z_4~ x Z")
