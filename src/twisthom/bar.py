@@ -7,17 +7,18 @@ linear algebra.  Basis sizes grow like |G|^k, so every entry point takes
 a cap and refuses to materialize anything larger.
 
 The workhorse is a three-term window C_{n+1} -> C_n -> C_{n-1} reduced
-by repeated cancellation of unit entries (Gaussian reduction of based
-complexes).  Each cancellation is logged so cycles can be pushed into
-the reduced window and reduced-complex generators lifted back to honest
-bar cycles.  Windows are built on the normalized subquotient (tuples
-with no identity entries), which has the same homology on a basis of
-(|G|-1)^k elements instead of |G|^k.
+by cancelling unit entries (Gaussian reduction of based complexes):
+plain sweeps over the columns, each cancelling a column's unit in its
+shortest row, repeated until a sweep finds none.  Each differential
+keeps its own pivot log: E's lifts reduced-complex generators back to
+honest bar cycles, D's pushes cycles into the reduced window.  Windows
+are built on the normalized subquotient (tuples with no identity
+entries), which has the same homology on a basis of (|G|-1)^k elements
+instead of |G|^k.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -28,6 +29,10 @@ from .snf import quotient_presentation
 
 class CapExceededError(RuntimeError):
     """A bar degree would need more basis elements than the cap allows."""
+
+
+# Default basis size limit per bar degree.
+BAR_CAP = 20000
 
 
 Element = tuple[int, ...]
@@ -268,72 +273,68 @@ class _Window:
             self.d_cols[j] = col
             for rk in col:
                 self.d_rows.setdefault(rk, set()).add(j)
-        self.log: list[tuple] = []
-        self._cancel_units("E", self.e_cols, self.e_rows)
-        self._cancel_units("D", self.d_cols, self.d_rows)
+        # Cancelling a unit of E changes the basis of C_n and logs the
+        # rest of its row of E, which lift replays; cancelling a unit of
+        # D logs the rest of its column of D, which push replays.
+        self.e_log: list[tuple[int, int, dict[int, int]]] = []
+        for r, c, u, rowvals, _ in self._cancel_units(self.e_cols, self.e_rows):
+            self.e_log.append((c, u, rowvals))
+            # In the changed basis the cancelled column's row of D is
+            # exactly zero (the window composes to zero), so drop it.
+            for dk in self.d_rows.pop(c, ()):
+                del self.d_cols[dk][c]
+        self.d_log: list[tuple[int, int, dict[int, int]]] = []
+        for r, c, u, _, colvals in self._cancel_units(self.d_cols, self.d_rows):
+            self.d_log.append((r, u, colvals))
+            # E restricted to the surviving basis is unchanged; only the
+            # cancelled row's column disappears.
+            for rk in self.e_cols.pop(r, {}):
+                self.e_rows[rk].discard(r)
         self._present()
 
-    def _cancel_units(self, tag: str, cols, rows):
-        # Lazy Markowitz ordering: candidates carry the fill bound
-        # (nnz(row)-1)*(nnz(col)-1) from when they were queued, stale
-        # bounds are refreshed on pop, and every Schur write that turns
-        # an entry into a unit queues it, so no unit is ever missed.
-        heap = []
-        for c, col in cols.items():
-            for r, v in col.items():
-                if v in (1, -1):
-                    heap.append(((len(rows[r]) - 1) * (len(col) - 1), r, c))
-        heapq.heapify(heap)
-        while heap:
-            score, r, c = heapq.heappop(heap)
-            col = cols.get(c)
-            if col is None or r not in rows:
-                continue
-            u = col.get(r, 0)
-            if u not in (1, -1):
-                continue
-            fresh = (len(rows[r]) - 1) * (len(col) - 1)
-            if fresh != score:
-                heapq.heappush(heap, (fresh, r, c))
-                continue
-            rowvals = {c2: cols[c2][r] for c2 in rows[r] if c2 != c}
-            colvals = {rk: v for rk, v in col.items() if rk != r}
-            if tag == "E":
-                self.log.append(("E", c, u, rowvals))
-            else:
-                self.log.append(("D", r, u, colvals))
-            for c2, v2 in rowvals.items():
-                lam = v2 // u
-                col2 = cols[c2]
-                for rk, val in colvals.items():
-                    w = col2.get(rk, 0) - lam * val
-                    if w:
-                        if rk not in col2:
-                            rows[rk].add(c2)
-                        col2[rk] = w
-                        if w in (1, -1):
-                            heapq.heappush(
-                                heap,
-                                ((len(rows[rk]) - 1) * (len(col2) - 1), rk, c2),
-                            )
-                    elif rk in col2:
-                        del col2[rk]
-                        rows[rk].discard(c2)
-                del col2[r]
-            for rk in colvals:
-                rows[rk].discard(c)
-            del cols[c]
-            del rows[r]
-            if tag == "E":
-                # In the changed basis the cancelled column's row of D is
-                # exactly zero (the window composes to zero), so drop it.
-                for dk in self.d_rows.pop(c, ()):
-                    del self.d_cols[dk][c]
-            else:
-                # E restricted to the surviving basis is unchanged; only
-                # the cancelled row's column disappears.
-                for rk in self.e_cols.pop(r, {}):
-                    self.e_rows[rk].discard(r)
+    @staticmethod
+    def _cancel_units(cols, rows):
+        """Cancel unit entries until none is left, yielding (row, column,
+        unit, rest of its row, rest of its column) after each one.
+
+        Each sweep visits every column once and, where the column has a
+        unit, cancels the one whose row is shortest, which keeps the Schur
+        fill small.  A Schur update can create units in columns the sweep
+        has passed, so sweeps repeat until one finds no unit.
+        """
+        found = True
+        while found:
+            found = False
+            for c in list(cols):
+                col = cols[c]
+                r = None
+                for rk, v in col.items():
+                    if v in (1, -1) and (r is None or len(rows[rk]) < len(rows[r])):
+                        r = rk
+                if r is None:
+                    continue
+                found = True
+                u = col[r]
+                rowvals = {c2: cols[c2][r] for c2 in rows[r] if c2 != c}
+                colvals = {rk: v for rk, v in col.items() if rk != r}
+                for c2, v2 in rowvals.items():
+                    lam = v2 // u
+                    col2 = cols[c2]
+                    for rk, val in colvals.items():
+                        w = col2.get(rk, 0) - lam * val
+                        if w:
+                            if rk not in col2:
+                                rows[rk].add(c2)
+                            col2[rk] = w
+                        elif rk in col2:
+                            del col2[rk]
+                            rows[rk].discard(c2)
+                    del col2[r]
+                for rk in colvals:
+                    rows[rk].discard(c)
+                del cols[c]
+                del rows[r]
+                yield r, c, u, rowvals, colvals
 
     def _present(self):
         self.survivors = sorted(self.e_cols)
@@ -370,25 +371,23 @@ class _Window:
         """
         e = self.identity
         vec = {self.mid_index[k]: v for k, v in chain.terms.items() if e not in k}
-        for entry in self.log:
-            if entry[0] == "E":
-                vec.pop(entry[1], None)
-            else:
-                _, r, u, colsnap = entry
-                vr = vec.pop(r, 0)
-                if vr:
-                    lam = vr // u
-                    for rk, v in colsnap.items():
-                        w = vec.get(rk, 0) - lam * v
-                        if w:
-                            vec[rk] = w
-                        else:
-                            vec.pop(rk, None)
-        return {self.index[k]: v for k, v in vec.items() if v}
+        # A cycle's coordinate on an E-cancelled column is zero in the
+        # changed basis (its E-image has that unit's row alone), so only
+        # the D pivots move it; the survivors are what is left.
+        for r, u, colsnap in self.d_log:
+            vr = vec.pop(r, 0)
+            if vr:
+                lam = vr // u
+                for rk, v in colsnap.items():
+                    w = vec.get(rk, 0) - lam * v
+                    if w:
+                        vec[rk] = w
+                    else:
+                        vec.pop(rk, None)
+        return {self.index[k]: v for k, v in vec.items() if k in self.index}
 
     def class_coords(self, chain: BarChain) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        free, torsion = self.pres.class_coords(self.push(chain))
-        return free, torsion
+        return self.pres.class_coords(self.push(chain))
 
     def order_of(self, chain: BarChain) -> int:
         """Order of the cycle's class; 0 stands for infinite order."""
@@ -399,10 +398,7 @@ class _Window:
         """A bar cycle representing the class with the given coordinates."""
         vec_idx = self.pres.vector_from_coords(free, torsion)
         vec = {self.survivors[i]: v for i, v in vec_idx.items() if v}
-        for entry in reversed(self.log):
-            if entry[0] == "D":
-                continue
-            _, c, u, rowsnap = entry
+        for c, u, rowsnap in reversed(self.e_log):
             s = 0
             for c2, val in rowsnap.items():
                 w = vec.get(c2)
@@ -434,14 +430,14 @@ def _window(group: GroupSpec, n: int, cap: int) -> _Window:
     return win
 
 
-def bar_homology(group: GroupSpec, n: int, cap: int = 20000) -> AbelianType:
+def bar_homology(group: GroupSpec, n: int, cap: int = BAR_CAP) -> AbelianType:
     """Isomorphism type of H_n computed from the bar complex alone."""
     if n < 0:
         return AbelianType.zero()
     return _window(group, n, cap).abelian_type()
 
 
-def chi_profile(source: str, group: GroupSpec, n: int, cap: int = 20000):
+def chi_profile(source: str, group: GroupSpec, n: int, cap: int = BAR_CAP):
     """Multiset of (order of c, order of c ^ j(c)) over every class in H_n.
 
     ``source`` picks the computation route: "bar" works entirely over the
@@ -461,7 +457,6 @@ def _chi_profile_bar(group: GroupSpec, n: int, cap: int):
     win = _window(group, n, cap)
     if win.pres.free_rank:
         raise InfiniteGroupError("H_n has free rank; classes are not enumerable")
-    _check_cap(group, (2 * n, 2 * n + 1), cap)
     win2 = _window(group, 2 * n, cap)
     divisors = win.pres.torsion
     profile = []

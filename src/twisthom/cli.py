@@ -28,7 +28,7 @@ import argparse
 import json
 import sys
 
-from .bar import CapExceededError, bar_homology, chi_profile
+from .bar import BAR_CAP, CapExceededError, bar_homology, chi_profile
 from .chains import ChainError, boundary, format_chain, parse_chain
 from .criterion import (
     NONZERO_WITNESS,
@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bar complex vs small complex vs Kunneth, degrees 0..N")
     p.add_argument("group")
     p.add_argument("through_degree", type=int, metavar="max_degree")
-    p.add_argument("--cap", type=int, default=20000, metavar="SIZE",
-                   help="bar basis size limit per degree (default 20000)")
+    p.add_argument("--cap", type=int, default=BAR_CAP, metavar="SIZE",
+                   help="bar basis size limit per degree (default %(default)s)")
     return parser
 
 

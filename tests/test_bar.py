@@ -189,13 +189,20 @@ def test_infinite_groups_rejected():
         chi_profile("bar", G("Z x Z_2"), 1)
 
 
-@pytest.mark.parametrize("group, n", [("Z_3", 3), ("Z_2 x Z_2", 1), ("Z_4~", 2)])
+@pytest.mark.parametrize("group, n", [
+    ("Z_3", 3), ("Z_2 x Z_2", 1), ("Z_4~", 2),
+    ("Z_3 x Z_3", 3), ("Z_6", 3), ("Z_2~ x Z_2", 2),
+])
 def test_window_lift_round_trip(group, n):
     g = G(group)
     w = _window(g, n, 20000)
+    # The reduction's contract: no unit is left to cancel.
+    for cols in (w.e_cols, w.d_cols):
+        assert all(v not in (1, -1) for col in cols.values() for v in col.values())
     identity = tuple(0 for _ in g.factors)
     torsion = w.pres.torsion
     assert w.pres.free_rank == 0
+    rng = random.Random(61)
     for j, divisor in enumerate(torsion):
         coords = tuple(1 if i == j else 0 for i in range(len(torsion)))
         z = w.lift((), coords)
@@ -204,6 +211,10 @@ def test_window_lift_round_trip(group, n):
         assert w.order_of(z) == divisor
         residue = bar_boundary(z)
         assert all(identity in key for key in residue.terms)
+        # push sends a boundary to the zero class, degenerate tuples and all.
+        for _ in range(3):
+            b = _random_bar_chain(rng, g, n + 1)
+            assert w.class_coords(z + bar_boundary(b)) == w.class_coords(z)
 
 
 @pytest.mark.parametrize("group, degrees", [("Z_3", (1, 2, 3)), ("Z_2 x Z_2", (1, 2)), ("Z_4~", (1, 2))])
