@@ -67,7 +67,9 @@ class Chain:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.terms = {m: c for m, c in self.terms.items() if c}
+        # The product and boundary loops already build zero-free dicts.
+        if not all(self.terms.values()):
+            self.terms = {m: c for m, c in self.terms.items() if c}
 
     @property
     def is_zero(self) -> bool:

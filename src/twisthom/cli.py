@@ -207,7 +207,8 @@ def _pairs_line(verdict: Verdict) -> str:
     """Provenance of ``vanishes_for_all``: what it formed, skipped, and where it failed."""
     line = (f"  pairs: {verdict.generators} generators; {verdict.pairs_formed} formed, "
             f"{verdict.skipped_free} skipped (free overlap), "
-            f"{verdict.skipped_degree} skipped (degree)")
+            f"{verdict.skipped_degree} skipped (degree), "
+            f"{verdict.skipped_orbit} skipped (orbit)")
     if verdict.failing_pair is not None:
         block = "[" + " ".join(str(i) for i in verdict.failing_block) + "]"
         line += f"; failed at pair {verdict.failing_pair} in block {block}"

@@ -9,8 +9,15 @@ class (z_i, or z_i + z_j) verified by the order of its chi value.
 
 Every generating cycle lies in one Koszul block, and j keeps monomials,
 so each product z_i ^ j(z_j) lies in the one target block that
-:func:`~twisthom.chains.product_block_key` reads off the two keys.  Two
-rules skip a pair without forming its product, and both are exact:
+:func:`~twisthom.chains.product_block_key` reads off the two keys.  The
+pairs are therefore tested block pair by block pair: the generating
+cycles of blocks A and B make one task {A, B} -- the diagonals and the
+pairs i < j inside A when A == B, every cross pair otherwise -- whose
+products all fall in one target block.  Since H_n is the sum of the
+H(A), chi vanishes on H_n iff every task passes: chi vanishes on H(A),
+and the bilinear form b(x, y) = chi(x + y) - chi(x) - chi(y) vanishes on
+H(A) x H(B).  Three rules skip a whole task without forming its
+products, and all three are exact:
 
 * free overlap -- the untwisted Z slots have no pairs, so every monomial
   of a block carries its key's degree there, and [1] ^ [1] = 0 on such a
@@ -18,7 +25,21 @@ rules skip a pair without forming its product, and both are exact:
   of the product dies (``product_block_key`` returns None);
 * degree -- every monomial of a block has at least its key's total
   degree, so when the target key's total is above 2n no monomial of
-  degree 2n lies in the block and the product is zero.
+  degree 2n lies in the block and the product is zero;
+* orbit -- swapping two slots with the same (order, sign) is a group
+  automorphism that preserves the orientation character.  Write sigma
+  for a product of such swaps.  On the small complex sigma permutes the
+  degrees of each monomial, with the Koszul sign of the permutation, so
+  it is a signed monomial permutation that commutes with the
+  differential, with ``wedge`` and with j.  It maps each block A onto
+  the block sigma A, and H(A) isomorphically onto H(sigma A), and
+  chi(sigma x) = sigma chi(x).  Since chi is quadratic and b bilinear,
+  whether a task passes does not depend on which generating cycles
+  present H(A) and H(B); so {sigma A, sigma B} passes iff {A, B} does.
+  A task is skipped when its canonical form -- its columns (order, sign,
+  A_k, B_k) sorted, the smaller of the forms of (A, B) and (B, A) --
+  equals that of a task already tested.  The two rules above depend on
+  the keys slot by slot, so they skip whole orbits; they run first.
 
 Any other product goes to ``is_boundary``, which splits a chain by block
 and checks each part as a cycle and reduces it in its block; a product
@@ -69,9 +90,10 @@ class Verdict:
 
     The provenance fields are set by ``vanishes_for_all`` and take no part
     in equality: the generator count, the pairs whose product was formed,
-    the pairs skipped by each rule (free overlap, degree), and for a
-    witness the failing pair (i, j), with i == j for a diagonal, and the
-    key of the block its product fell in.
+    the pairs skipped by each rule (free overlap, degree, orbit), and for
+    a witness the failing pair (i, j), with i == j for a diagonal, and the
+    key of the block its product fell in.  A witness reports the counts of
+    the ordered pass that found it, which skips no orbit.
     """
 
     kind: str
@@ -85,6 +107,7 @@ class Verdict:
     pairs_formed: int | None = field(default=None, compare=False)
     skipped_free: int | None = field(default=None, compare=False)
     skipped_degree: int | None = field(default=None, compare=False)
+    skipped_orbit: int | None = field(default=None, compare=False)
     failing_pair: tuple[int, int] | None = field(default=None, compare=False)
     failing_block: tuple | None = field(default=None, compare=False)
 
@@ -126,40 +149,110 @@ def chi_square(c: HomologyClass) -> HomologyClass:
 def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     """Decide whether chi(c) = 0 for every class c in H_n(group).
 
-    Runs the finite bilinear reduction over generating cycles, diagonals
-    first, then pairs i < j.  Cross terms use the identity
-    z_j ^ j(z_i) = (-1)^n j(z_i ^ j(z_j)), valid because j is an algebra
-    map and the product is graded-commutative at chain level, so each
-    pair costs one product and one membership test in its target block,
-    unless a skip rule of the module docstring shows the product is zero.
+    Runs the finite bilinear reduction over generating cycles.  Cross
+    terms use the identity z_j ^ j(z_i) = (-1)^n j(z_i ^ j(z_j)), valid
+    because j is an algebra map and the product is graded-commutative at
+    chain level, so each pair costs one product and one membership test
+    in its target block, unless a skip rule of the module docstring shows
+    the product is zero or its block pair is an orbit-mate of one tested.
+
+    The generating cycles are grouped by block key, in generator order,
+    and each unordered block pair {A, B} with A before or equal to B is
+    one task, taken in that order: the diagonals and pairs i < j inside A
+    when A == B, every cross pair otherwise.  When every task passes, the
+    verdict is Vanishes with these counts.  When a task fails, the ordered
+    pass runs instead -- diagonals first, then pairs i < j, under the free
+    and degree rules alone -- and its first failing pair gives the
+    witness, the failing pair and block, and the counts (no orbit skips).
     """
     gens = generating_cycles(group, n)
     jgens = [inversion_chain(z) for z in gens]
     keys = [block_key(group, next(iter(z.terms))) for z in gens]
     sign = -1 if n % 2 else 1
-    m = len(gens)
-    formed = skipped_free = skipped_degree = 0
-    for i, j in itertools.chain(zip(range(m), range(m)), itertools.combinations(range(m), 2)):
-        key = product_block_key(group, keys[i], keys[j])
-        if key is None:
-            skipped_free += 1
-            continue
-        if sum(key) > 2 * n:
-            skipped_degree += 1
-            continue
-        formed += 1
+
+    def unbounded(i: int, j: int) -> Chain | None:
+        """z_i ^ j(z_j), symmetrized when i != j, or None when it bounds."""
         value = wedge(gens[i], jgens[j])
         if i != j and not value.is_zero:
             value = value + sign * inversion_chain(value)
-        if not is_boundary(value):
+        return None if is_boundary(value) else value
+
+    counts = _orbit_pass(group, n, keys, unbounded)
+    if counts is None:
+        return _ordered_pass(group, n, gens, keys, unbounded)
+    return Verdict(VANISHES, group, n, generators=len(gens), **counts)
+
+
+_COUNTS = ("pairs_formed", "skipped_free", "skipped_degree", "skipped_orbit")
+
+
+def _skip_rule(n: int, key) -> str | None:
+    """The provenance field of the rule (free overlap, degree) showing that
+    every product with target block ``key`` is zero in degree 2n, or None."""
+    if key is None:
+        return "skipped_free"
+    if sum(key) > 2 * n:
+        return "skipped_degree"
+    return None
+
+
+def _orbit_form(slots, a, b) -> tuple:
+    """A canonical form of the unordered block pair {a, b} under the
+    permutations of identical slots: its columns (slot, a_k, b_k), with
+    ``slots`` the (order, sign) of each slot, as a sorted tuple, the
+    smaller of the forms of (a, b) and (b, a)."""
+    return min(tuple(sorted(zip(slots, a, b))), tuple(sorted(zip(slots, b, a))))
+
+
+def _orbit_pass(group: GroupSpec, n: int, keys, unbounded) -> dict | None:
+    """The counts of the pass over block pairs under the three skip rules,
+    or None when a pair fails."""
+    blocks: dict = {}
+    for i, key in enumerate(keys):
+        blocks.setdefault(key, []).append(i)
+    slots = tuple(zip(group.orders, group.signs))
+    counts = dict.fromkeys(_COUNTS, 0)
+    tested = set()
+    tasks = list(blocks.items())
+    for t, (a, ia) in enumerate(tasks):
+        for b, ib in tasks[t:]:
+            size = len(ia) * (len(ia) + 1) // 2 if a == b else len(ia) * len(ib)
+            rule = _skip_rule(n, product_block_key(group, a, b))
+            if rule is None:
+                form = _orbit_form(slots, a, b)
+                rule = "skipped_orbit" if form in tested else None
+                tested.add(form)
+            if rule is not None:
+                counts[rule] += size
+                continue
+            counts["pairs_formed"] += size
+            pairs = (itertools.chain(zip(ia, ia), itertools.combinations(ia, 2)) if a == b
+                     else itertools.product(ia, ib))
+            if any(unbounded(i, j) is not None for i, j in pairs):
+                return None
+    return counts
+
+
+def _ordered_pass(group: GroupSpec, n: int, gens, keys, unbounded) -> Verdict:
+    """Diagonals first, then pairs i < j, under the free and degree rules;
+    the first pair whose product does not bound gives the witness."""
+    m = len(gens)
+    counts = dict.fromkeys(_COUNTS, 0)
+    for i, j in itertools.chain(zip(range(m), range(m)), itertools.combinations(range(m), 2)):
+        key = product_block_key(group, keys[i], keys[j])
+        rule = _skip_rule(n, key)
+        if rule is not None:
+            counts[rule] += 1
+            continue
+        counts["pairs_formed"] += 1
+        value = unbounded(i, j)
+        if value is not None:
             witness = gens[i] if i == j else gens[i] + gens[j]
             chi = value if i == j else chi_chain(witness)
             return Verdict(NONZERO_WITNESS, group, n, witness=witness, chi_chain=chi,
-                           chi_order=class_order(chi), generators=m, pairs_formed=formed,
-                           skipped_free=skipped_free, skipped_degree=skipped_degree,
-                           failing_pair=(i, j), failing_block=key)
-    return Verdict(VANISHES, group, n, generators=m, pairs_formed=formed,
-                   skipped_free=skipped_free, skipped_degree=skipped_degree)
+                           chi_order=class_order(chi), generators=m,
+                           failing_pair=(i, j), failing_block=key, **counts)
+    return Verdict(VANISHES, group, n, generators=m, **counts)
 
 
 def _primary(order: int) -> tuple[int, int] | None:

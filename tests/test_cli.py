@@ -113,10 +113,14 @@ def test_scan_witness(capsys):
 
 def test_scan_pairs_line(capsys):
     _, out, _ = invoke(capsys, "scan", "Z^4", "2")
-    assert ("  pairs: 6 generators; 1 formed, 10 skipped (free overlap), 0 skipped (degree); "
-            "failed at pair (0, 5) in block [1 1 1 1]\n") in out
+    assert ("  pairs: 6 generators; 1 formed, 10 skipped (free overlap), 0 skipped (degree), "
+            "0 skipped (orbit); failed at pair (0, 5) in block [1 1 1 1]\n") in out
     _, out, _ = invoke(capsys, "scan", "Z^3", "3")
-    assert "  pairs: 1 generators; 0 formed, 1 skipped (free overlap), 0 skipped (degree)\n" in out
+    assert ("  pairs: 1 generators; 0 formed, 1 skipped (free overlap), 0 skipped (degree), "
+            "0 skipped (orbit)\n") in out
+    _, out, _ = invoke(capsys, "scan", "Z_2 x Z_2 x Z_2", "3")
+    assert ("  pairs: 7 generators; 5 formed, 0 skipped (free overlap), 10 skipped (degree), "
+            "13 skipped (orbit)\n") in out
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,5 +1,6 @@
 """Vanishing criterion: chi classes, theorem coverage, verdict prose."""
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,9 @@ from support import (
 )
 from twisthom import (
     Chain,
+    CyclicFactor,
     DegreeTooSmallError,
+    GroupSpec,
     Verdict,
     boundary,
     chi_chain,
@@ -212,16 +215,22 @@ def test_verdict_str_forms():
 def test_verdict_provenance():
     v = vanishes_for_all(G("Z^4"), 2)
     assert (v.generators, v.pairs_formed, v.skipped_free, v.skipped_degree) == (6, 1, 10, 0)
+    assert v.skipped_orbit == 0
     assert v.failing_pair == (0, 5)
     assert v.failing_block == (1, 1, 1, 1)
     assert v == Verdict(v.kind, v.group, v.degree, witness=v.witness,
                         chi_chain=v.chi_chain, chi_order=v.chi_order)
-    for text, n in (("Z_3 x Z_3", 3), ("Z^2 x Z_2 x Z_2", 3), ("Z_3", 1)):
+    for text, n in (("Z_3 x Z_3", 3), ("Z^2 x Z_2 x Z_2", 3), ("Z_3", 1),
+                    ("Z_2 x Z_2 x Z_2", 3)):
         v = vanishes_for_all(G(text), n)
         m = v.generators
         assert v.vanishes and v.failing_pair is None and v.failing_block is None
-        assert v.pairs_formed + v.skipped_free + v.skipped_degree == m * (m + 1) // 2
+        assert (v.pairs_formed + v.skipped_free + v.skipped_degree + v.skipped_orbit
+                == m * (m + 1) // 2)
     assert vanishes_for_all(G("Z_3"), 1).skipped_degree == 1
+    v = vanishes_for_all(G("Z_2 x Z_2 x Z_2"), 3)
+    assert (v.generators, v.pairs_formed, v.skipped_free, v.skipped_degree,
+            v.skipped_orbit) == (7, 5, 0, 10, 13)
 
 
 def test_verdicts_hash():
@@ -275,3 +284,65 @@ def test_vanishing_matches_the_reference_loop_on_the_grid():
     cells = [(g, n) for g, n in criterion_grid() if homology(g, n).num_generators <= 30]
     assert len(cells) == 1058
     assert [(str(g), n) for g, n in cells if not _agrees_with_reference(g, n)] == []
+
+
+def _mixed_slot_family() -> list[tuple[GroupSpec, int]]:
+    """Z^r (r <= 3), placed first and also last, times 1-3 factors from
+    {Z_2, Z_3, Z_4, Z_9}, in degrees 2..5: slots of one order side by side
+    with slots of another, where an orbit rule that merged them would
+    skip block pairs that are not images of one another."""
+    groups: dict[GroupSpec, None] = {}
+    for r in range(4):
+        free = (CyclicFactor(0),) * r
+        for k in range(1, 4):
+            for orders in itertools.combinations_with_replacement((2, 3, 4, 9), k):
+                finite = tuple(CyclicFactor(q) for q in orders)
+                groups.setdefault(GroupSpec(free + finite), None)
+                groups.setdefault(GroupSpec(finite + free), None)
+    return [(g, n) for g in groups for n in range(2, 6)]
+
+
+def test_vanishing_matches_the_reference_loop_on_mixed_slots():
+    cells = _mixed_slot_family()
+    assert len(cells) == 952
+    verdicts = [vanishes_for_all(g, n) for g, n in cells]
+    assert sum(not v.vanishes for v in verdicts) == 380
+    assert sum(v.skipped_orbit > 0 for v in verdicts if v.vanishes) > 0
+    assert [(str(g), n) for g, n in cells if not _agrees_with_reference(g, n)] == []
+
+
+# Vanishing cells where most block pairs are skipped as orbit-mates.
+ORBIT_CELLS = [("Z_2 x Z_2 x Z_2 x Z_2 x Z_2", 5), ("Z_2 x Z_2 x Z_2 x Z_2 x Z_2", 6),
+               ("Z_2~ x Z_2~ x Z_2~ x Z_2", 5), ("Z_4~ x Z_4~ x Z_2 x Z_2", 4),
+               ("Z^2 x Z_2 x Z_2 x Z_2", 5)]
+
+
+@pytest.mark.parametrize("group, n", ORBIT_CELLS)
+def test_orbit_skips_match_the_reference_loop(group, n):
+    v = vanishes_for_all(G(group), n)
+    assert v.vanishes and v.skipped_orbit > v.pairs_formed
+    assert _agrees_with_reference(G(group), n)
+
+
+def _permuted_cells() -> list[tuple[GroupSpec, int]]:
+    """The sharpness cells, and Z^r (r <= 2) times two factors from
+    {Z_2, Z_3, Z_4, Z_9} in degrees 2..4."""
+    cells = [(G(group), n) for group, n in SHARPNESS_CELLS]
+    for r in range(3):
+        for orders in itertools.combinations_with_replacement((2, 3, 4, 9), 2):
+            g = GroupSpec((CyclicFactor(0),) * r + tuple(CyclicFactor(q) for q in orders))
+            cells += [(g, n) for n in range(2, 5)]
+    return cells
+
+
+def test_verdict_is_invariant_under_factor_permutation():
+    # The witness may move with the factors, whose order is significant;
+    # the verdict kind and the order of chi may not.
+    seen = 0
+    for g, n in _permuted_cells():
+        v = vanishes_for_all(g, n)
+        for factors in sorted(set(itertools.permutations(g.factors)), key=repr):
+            w = vanishes_for_all(GroupSpec(factors), n)
+            assert (w.kind, w.chi_order) == (v.kind, v.chi_order), (str(g), n, factors)
+            seen += 1
+    assert seen == 532
