@@ -6,15 +6,17 @@ sharing nothing with the small-complex pipeline except the final exact
 linear algebra.  Basis sizes grow like |G|^k, so every entry point takes
 a cap and refuses to materialize anything larger.
 
-The workhorse is a three-term window C_{n+1} -> C_n -> C_{n-1} reduced
-by cancelling unit entries (Gaussian reduction of based complexes):
-plain sweeps over the columns, each cancelling a column's unit in its
-shortest row, repeated until a sweep finds none.  Each differential
-keeps its own pivot log: E's lifts reduced-complex generators back to
-honest bar cycles, D's pushes cycles into the reduced window.  Windows
-are built on the normalized subquotient (tuples with no identity
-entries), which has the same homology on a basis of (|G|-1)^k elements
-instead of |G|^k.
+The workhorse is one reduced complex per group, extended one
+differential at a time, lowest degree first.  Each d_k is built once
+and reduced by cancelling unit entries (Gaussian reduction of based
+complexes): plain sweeps over the columns, each cancelling a column's
+unit in its shortest row, repeated until a sweep finds none.  Each
+differential keeps one pivot log: its row halves lift generators of
+H_k back to honest bar cycles, its column halves push cycles of
+H_{k-1} into the reduced basis.  H_{k-1} is presented as soon as d_k is
+reduced.  The complex is built on the normalized subquotient (tuples
+with no identity entries), which has the same homology on a basis of
+(|G|-1)^k elements instead of |G|^k.
 """
 
 from __future__ import annotations
@@ -228,213 +230,209 @@ def _check_cap(group: GroupSpec, degrees, cap: int):
             )
 
 
-class _Window:
-    """Reduced three-term window of the bar complex around one degree.
+def _cancel_units(cols, rows):
+    """Cancel unit entries until none is left, yielding (row, column,
+    unit, rest of its row, rest of its column) after each one.
 
-    The window lives on the normalized basis: tuples containing the
-    identity span an acyclic subcomplex, so dropping them changes no
-    class and no order.  Incoming cycles are projected by discarding
-    degenerate tuples; lifted representatives never contain any.
+    Each sweep visits every column once and, where the column has a
+    unit, cancels the one whose row is shortest, which keeps the Schur
+    fill small.  A Schur update can create units in columns the sweep
+    has passed, so sweeps repeat until one finds no unit.
+    """
+    found = True
+    while found:
+        found = False
+        for c in list(cols):
+            col = cols[c]
+            r = None
+            for rk, v in col.items():
+                if v in (1, -1) and (r is None or len(rows[rk]) < len(rows[r])):
+                    r = rk
+            if r is None:
+                continue
+            found = True
+            u = col[r]
+            rowvals = {c2: cols[c2][r] for c2 in rows[r] if c2 != c}
+            colvals = {rk: v for rk, v in col.items() if rk != r}
+            for c2, v2 in rowvals.items():
+                lam = v2 // u
+                col2 = cols[c2]
+                for rk, val in colvals.items():
+                    w = col2.get(rk, 0) - lam * val
+                    if w:
+                        if rk not in col2:
+                            rows[rk].add(c2)
+                        col2[rk] = w
+                    elif rk in col2:
+                        del col2[rk]
+                        rows[rk].discard(c2)
+                del col2[r]
+            for rk in colvals:
+                rows[rk].discard(c)
+            del cols[c]
+            del rows[r]
+            yield r, c, u, rowvals, colvals
+
+
+class _Complex:
+    """The normalized bar complex of one group, reduced lowest degree first.
+
+    Tuples containing the identity span an acyclic subcomplex, so
+    dropping them changes no class and no order.  Incoming cycles are
+    projected by discarding degenerate tuples; lifted representatives
+    never contain any.  Extending to degree k presents H_{k-1} at once,
+    and later reductions only drop columns of d_k whose image is zero,
+    so no answer depends on how far the complex was extended before.
     """
 
-    def __init__(self, group: GroupSpec, n: int):
+    def __init__(self, group: GroupSpec):
         self.group = group
-        self.n = n
-        orders = _orders(group)
-        self.identity: Element = (0,) * len(orders)
-        nontrivial = [e for e in elements(group) if e != self.identity]
-        # Tuple keys are interned as integers before any linear algebra;
-        # composite keys in dicts, sets, and the replay log cost both the
-        # memory and the hashing that the large windows cannot afford.
-        self.mid_keys: list[BarKey] = list(itertools.product(nontrivial, repeat=n))
-        self.mid_index: dict[BarKey, int] = {k: i for i, k in enumerate(self.mid_keys)}
-        prev_index: dict[BarKey, int] = {
-            k: i for i, k in enumerate(itertools.product(nontrivial, repeat=n - 1))
-        } if n else {}
+        self.orders = _orders(group)
+        self.identity: Element = (0,) * len(self.orders)
+        self.nontrivial = [e for e in elements(group) if e != self.identity]
+        self.top = 0
+        # Basis elements are positions in the enumeration of nontrivial
+        # k-tuples, which spares the large degrees the memory and hashing
+        # of tuple keys; tables[k] maps each k-tuple to its position.
+        self.tables: list[dict[BarKey, int]] = []
+        # log[k]: the pivots of d_k as (row, column, unit, rest of its
+        # row, rest of its column).  Lift at degree k replays the row
+        # halves of log[k], push the column halves of log[k+1].
+        self.log: list[list[tuple]] = [[]]
+        self.survivors: list[list[int]] = []
+        self.pres: list = []
+        # The columns of d_top left by its reduction, keyed by row.
+        self.cols: dict[int, dict[int, int]] = {0: {}}
 
-        def face_col(key: BarKey, index: dict[BarKey, int]) -> dict[int, int]:
-            full = _key_boundary(group, orders, key)
-            e = self.identity
-            return {index[f]: v for f, v in full.items() if e not in f}
-
-        # E: C_n -> C_{n-1}; D: C_{n+1} -> C_n.  Columns are dicts keyed
-        # by row index; *_rows are reverse indexes (row -> set of cols).
-        self.e_cols: dict[int, dict[int, int]] = {}
-        self.e_rows: dict[int, set[int]] = {}
-        for key, i in self.mid_index.items():
-            col = face_col(key, prev_index) if n else {}
-            self.e_cols[i] = col
-            for rk in col:
-                self.e_rows.setdefault(rk, set()).add(i)
-        self.d_cols: dict[int, dict[int, int]] = {}
-        self.d_rows: dict[int, set[int]] = {}
-        for j, key in enumerate(itertools.product(nontrivial, repeat=n + 1)):
-            col = face_col(key, self.mid_index)
-            self.d_cols[j] = col
-            for rk in col:
-                self.d_rows.setdefault(rk, set()).add(j)
-        # Cancelling a unit of E changes the basis of C_n and logs the
-        # rest of its row of E, which lift replays; cancelling a unit of
-        # D logs the rest of its column of D, which push replays.
-        self.e_log: list[tuple[int, int, dict[int, int]]] = []
-        for r, c, u, rowvals, _ in self._cancel_units(self.e_cols, self.e_rows):
-            self.e_log.append((c, u, rowvals))
-            # In the changed basis the cancelled column's row of D is
-            # exactly zero (the window composes to zero), so drop it.
-            for dk in self.d_rows.pop(c, ()):
-                del self.d_cols[dk][c]
-        self.d_log: list[tuple[int, int, dict[int, int]]] = []
-        for r, c, u, _, colvals in self._cancel_units(self.d_cols, self.d_rows):
-            self.d_log.append((r, u, colvals))
-            # E restricted to the surviving basis is unchanged; only the
-            # cancelled row's column disappears.
-            for rk in self.e_cols.pop(r, {}):
-                self.e_rows[rk].discard(r)
-        self._present()
-
-    @staticmethod
-    def _cancel_units(cols, rows):
-        """Cancel unit entries until none is left, yielding (row, column,
-        unit, rest of its row, rest of its column) after each one.
-
-        Each sweep visits every column once and, where the column has a
-        unit, cancels the one whose row is shortest, which keeps the Schur
-        fill small.  A Schur update can create units in columns the sweep
-        has passed, so sweeps repeat until one finds no unit.
-        """
-        found = True
-        while found:
-            found = False
-            for c in list(cols):
-                col = cols[c]
-                r = None
-                for rk, v in col.items():
-                    if v in (1, -1) and (r is None or len(rows[rk]) < len(rows[r])):
-                        r = rk
-                if r is None:
-                    continue
-                found = True
-                u = col[r]
-                rowvals = {c2: cols[c2][r] for c2 in rows[r] if c2 != c}
-                colvals = {rk: v for rk, v in col.items() if rk != r}
-                for c2, v2 in rowvals.items():
-                    lam = v2 // u
-                    col2 = cols[c2]
-                    for rk, val in colvals.items():
-                        w = col2.get(rk, 0) - lam * val
-                        if w:
-                            if rk not in col2:
-                                rows[rk].add(c2)
-                            col2[rk] = w
-                        elif rk in col2:
-                            del col2[rk]
-                            rows[rk].discard(c2)
-                    del col2[r]
-                for rk in colvals:
-                    rows[rk].discard(c)
-                del cols[c]
-                del rows[r]
-                yield r, c, u, rowvals, colvals
-
-    def _present(self):
-        self.survivors = sorted(self.e_cols)
-        self.index = {k: i for i, k in enumerate(self.survivors)}
-        row_keys = sorted(self.e_rows)
-        row_index = {k: i for i, k in enumerate(row_keys)}
+    def _extend(self):
+        """Build and reduce d_k for k = top + 1, then present H_{k-1}."""
+        k = self.top + 1
+        group, orders, e = self.group, self.orders, self.identity
+        prev = self.cols
+        index = {key: i for i, key in enumerate(itertools.product(self.nontrivial, repeat=k - 1))}
+        self.tables.append(index)
+        # The rows that d_{k-1} cancelled as columns are zero in the changed
+        # basis (d_{k-1} d_k = 0) and the other entries do not move, so
+        # d_k is built on the rows that survived as columns of d_{k-1},
+        # with a reverse index from each row to the columns holding it.
+        cols: dict[int, dict[int, int]] = {}
+        rows: dict[int, set[int]] = {}
+        for j, key in enumerate(itertools.product(self.nontrivial, repeat=k)):
+            col = {}
+            for face, v in _key_boundary(group, orders, key).items():
+                if e not in face:
+                    i = index[face]
+                    if i in prev:
+                        col[i] = v
+            cols[j] = col
+            for i in col:
+                rows.setdefault(i, set()).add(j)
+        log = list(_cancel_units(cols, rows))
+        # d_{k-1} on the other basis elements is unchanged; each
+        # cancelled row is now a boundary, so its column disappears.
+        for r, *_ in log:
+            del prev[r]
+        self.log.append(log)
+        # Present H_{k-1} = ker d_{k-1} / im d_k on the surviving basis.
+        survivors = sorted(prev)
+        slot = {key: i for i, key in enumerate(survivors)}
+        row_keys = sorted({rk for col in prev.values() for rk in col})
+        row_index = {key: i for i, key in enumerate(row_keys)}
         e_columns = [
-            {row_index[rk]: v for rk, v in self.e_cols[key].items()}
-            for key in self.survivors
+            {row_index[rk]: v for rk, v in prev[key].items()}
+            for key in survivors
         ]
-        # Many surviving D columns are zero or repeats after cancellation;
-        # only the span matters for the quotient, so keep one per sign
-        # class and skip the zeros.
-        d_columns = []
-        seen = set()
-        for key in sorted(self.d_cols):
-            col = self.d_cols[key]
-            if not col:
-                continue
-            items = tuple(sorted(col.items()))
-            if items[0][1] < 0:
-                items = tuple((rk, -v) for rk, v in items)
-            if items in seen:
-                continue
-            seen.add(items)
-            d_columns.append({self.index[rk]: v for rk, v in col.items()})
-        self.pres = quotient_presentation(e_columns, len(row_keys), d_columns)
+        # Many surviving columns of d_k are zero or repeats after
+        # cancellation; only the span matters for the quotient, so keep
+        # one per sign class and skip the zeros.
+        spans = {}
+        for key in sorted(cols):
+            items = sorted(cols[key].items())
+            if items:
+                sign = -1 if items[0][1] < 0 else 1
+                spans.setdefault(tuple((rk, sign * v) for rk, v in items), cols[key])
+        d_columns = [{slot[rk]: v for rk, v in col.items()} for col in spans.values()]
+        self.survivors.append(survivors)
+        self.pres.append(quotient_presentation(e_columns, len(row_keys), d_columns))
+        self.cols = cols
+        self.top = k
 
     def push(self, chain: BarChain) -> dict[int, int]:
-        """Coordinates of a cycle in the reduced window.
+        """Coordinates of a cycle on the surviving basis of its degree.
 
         Tuples containing the identity are dropped first; passing to the
         normalized complex is a chain map, so the class is unmoved.
         """
+        n = chain.degree
         e = self.identity
-        vec = {self.mid_index[k]: v for k, v in chain.terms.items() if e not in k}
-        # A cycle's coordinate on an E-cancelled column is zero in the
-        # changed basis (its E-image has that unit's row alone), so only
-        # the D pivots move it; the survivors are what is left.
-        for r, u, colsnap in self.d_log:
+        index = self.tables[n]
+        vec = {index[k]: v for k, v in chain.terms.items() if e not in k}
+        # A cycle's coordinate on a column d_n cancelled is zero in the
+        # changed basis (its image has that unit's row alone), so only
+        # the pivots of d_{n+1} move it; the survivors are what is left.
+        for r, _, u, _, colvals in self.log[n + 1]:
             vr = vec.pop(r, 0)
             if vr:
                 lam = vr // u
-                for rk, v in colsnap.items():
+                for rk, v in colvals.items():
                     w = vec.get(rk, 0) - lam * v
                     if w:
                         vec[rk] = w
                     else:
                         vec.pop(rk, None)
-        return {self.index[k]: v for k, v in vec.items() if k in self.index}
+        slot = {key: i for i, key in enumerate(self.survivors[n])}
+        return {slot[k]: v for k, v in vec.items() if k in slot}
 
     def class_coords(self, chain: BarChain) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.pres.class_coords(self.push(chain))
+        return self.pres[chain.degree].class_coords(self.push(chain))
 
     def order_of(self, chain: BarChain) -> int:
         """Order of the cycle's class; 0 stands for infinite order."""
         free, torsion = self.class_coords(chain)
-        return coords_order(free, torsion, self.pres.torsion)
+        return coords_order(free, torsion, self.pres[chain.degree].torsion)
 
-    def lift(self, free, torsion) -> BarChain:
-        """A bar cycle representing the class with the given coordinates."""
-        vec_idx = self.pres.vector_from_coords(free, torsion)
-        vec = {self.survivors[i]: v for i, v in vec_idx.items() if v}
-        for c, u, rowsnap in reversed(self.e_log):
+    def lift(self, n: int, free, torsion) -> BarChain:
+        """A bar cycle of degree n in the class with these coordinates."""
+        vec_idx = self.pres[n].vector_from_coords(free, torsion)
+        survivors = self.survivors[n]
+        vec = {survivors[i]: v for i, v in vec_idx.items() if v}
+        for _, c, u, rowvals, _ in reversed(self.log[n]):
             s = 0
-            for c2, val in rowsnap.items():
+            for c2, val in rowvals.items():
                 w = vec.get(c2)
                 if w:
                     s += val * w
             if s:
                 vec[c] = -(s // u)
-        return BarChain(self.group, self.n,
-                        {self.mid_keys[i]: v for i, v in vec.items()})
-
-    def abelian_type(self) -> AbelianType:
-        return AbelianType.from_divisors(self.pres.free_rank, self.pres.torsion)
+        keys = list(self.tables[n])
+        return BarChain(self.group, n, {keys[i]: v for i, v in vec.items()})
 
 
-# Built windows by (group, degree), oldest first.  Past _MAX_WINDOWS the
-# oldest is dropped; the oracle comparison builds 44.
-_WINDOWS: dict[tuple[GroupSpec, int], _Window] = {}
-_MAX_WINDOWS = 64
+# Reduced complexes by group, oldest first.  Past _MAX_COMPLEXES the
+# oldest is dropped; the oracle comparison uses 7 groups.
+_COMPLEXES: dict[GroupSpec, _Complex] = {}
+_MAX_COMPLEXES = 16
 
 
-def _window(group: GroupSpec, n: int, cap: int) -> _Window:
-    _check_cap(group, (n, n + 1), cap)
-    key = (group, n)
-    win = _WINDOWS.get(key)
-    if win is None:
-        win = _WINDOWS[key] = _Window(group, n)
-        if len(_WINDOWS) > _MAX_WINDOWS:
-            del _WINDOWS[next(iter(_WINDOWS))]
-    return win
+def _complex(group: GroupSpec, degrees, cap: int) -> _Complex:
+    """The group's complex through the top of ``degrees``, within the cap."""
+    _check_cap(group, degrees, cap)
+    cx = _COMPLEXES.get(group)
+    if cx is None:
+        cx = _COMPLEXES[group] = _Complex(group)
+        if len(_COMPLEXES) > _MAX_COMPLEXES:
+            del _COMPLEXES[next(iter(_COMPLEXES))]
+    while cx.top < max(degrees):
+        cx._extend()
+    return cx
 
 
 def bar_homology(group: GroupSpec, n: int, cap: int = BAR_CAP) -> AbelianType:
     """Isomorphism type of H_n computed from the bar complex alone."""
     if n < 0:
         return AbelianType.zero()
-    return _window(group, n, cap).abelian_type()
+    pres = _complex(group, (n, n + 1), cap).pres[n]
+    return AbelianType.from_divisors(pres.free_rank, pres.torsion)
 
 
 def chi_profile(source: str, group: GroupSpec, n: int, cap: int = BAR_CAP):
@@ -454,17 +452,17 @@ def chi_profile(source: str, group: GroupSpec, n: int, cap: int = BAR_CAP):
 
 
 def _chi_profile_bar(group: GroupSpec, n: int, cap: int):
-    win = _window(group, n, cap)
-    if win.pres.free_rank:
+    pres = _complex(group, (n, n + 1), cap).pres[n]
+    if pres.free_rank:
         raise InfiniteGroupError("H_n has free rank; classes are not enumerable")
-    win2 = _window(group, 2 * n, cap)
-    divisors = win.pres.torsion
+    cx = _complex(group, (2 * n, 2 * n + 1), cap)
+    divisors = pres.torsion
     profile = []
     for residues in itertools.product(*(range(d) for d in divisors)):
-        z = win.lift((), residues)
+        z = cx.lift(n, (), residues)
         order_c = coords_order((), residues, divisors)
         value = shuffle_product(z, bar_inversion(z))
-        profile.append((order_c, win2.order_of(value)))
+        profile.append((order_c, cx.order_of(value)))
     return tuple(sorted(profile))
 
 

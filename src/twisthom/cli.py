@@ -41,7 +41,7 @@ from .criterion import (
 )
 from .golden import example_ids, run_all
 from .groups import GroupSpecError, parse_group_spec
-from .homology import InfiniteGroupError, NotACycleError, homology, homology_type
+from .homology import InfiniteGroupError, NotACycleError, format_order, homology, homology_type
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,8 +134,7 @@ def cmd_homology(args) -> tuple[int, dict, list[str]]:
             order = divisors[i] if i < len(divisors) else 0
             rep = format_chain(h.representative(g))
             witness.append({"order": str(order), "cycle": rep})
-            shown = "infinite" if order == 0 else str(order)
-            lines.append(f"  generator {i + 1} (order {shown}): {rep}")
+            lines.append(f"  generator {i + 1} (order {format_order(order)}): {rep}")
     payload = _payload("homology", group=str(group), degree=str(args.degree),
                        presentation=str(h), witness=witness)
     return EXIT_OK, payload, lines
@@ -159,8 +158,7 @@ def cmd_chi(args) -> tuple[int, dict, list[str]]:
     lines = [
         f"chi class in H_{2 * n}({group}; {_coefficients(group)}) = {h2n}:",
         f"  class {cls}  (representative {rep})",
-        "  order: " + ("1 (zero class)" if zero else
-                       "infinite" if order == 0 else str(order)),
+        "  order: " + ("1 (zero class)" if zero else format_order(order)),
     ]
     if n >= 2:
         kind = VANISHES if zero else NONZERO_WITNESS
@@ -185,13 +183,12 @@ def cmd_scan(args) -> tuple[int, dict, list[str]]:
     lines = [f"theorem cover: {cover}", f"vanishing decision: {vanish}", _pairs_line(vanish)]
     witness = None
     if not vanish.vanishes:
-        order = "0" if vanish.chi_order == 0 else str(vanish.chi_order)
         witness = {
             "cycle": format_chain(vanish.witness),
             "chi": format_chain(vanish.chi_chain),
-            "chi_order": order,
+            "chi_order": str(vanish.chi_order),
         }
-        shown = "infinite" if vanish.chi_order == 0 else str(vanish.chi_order)
+        shown = format_order(vanish.chi_order)
         lines.append(f"  witness cycle: {witness['cycle']}")
         lines.append(f"  chi chain: {witness['chi']} (class order {shown})")
     lines.append(interpret(vanish))
@@ -250,7 +247,6 @@ def cmd_oracle_compare(args) -> tuple[int, dict, list[str]]:
     if not group.is_finite:
         raise UsageError("oracle comparison needs a finite group")
     _check_degree(args.through_degree, args.max_degree)
-    size = group.group_order
     rows = []
     lines = []
     all_ok = True
@@ -268,14 +264,15 @@ def cmd_oracle_compare(args) -> tuple[int, dict, list[str]]:
         }
         profile_note = "skipped (H_n has free rank)"
         if homology(group, n).free_rank == 0:
-            if size ** (2 * n) <= args.cap and size ** (2 * n + 1) <= args.cap:
+            try:
                 pb = chi_profile("bar", group, n, args.cap)
+            except CapExceededError:
+                profile_note = "skipped (cap)"
+            else:
                 ps = chi_profile("small", group, n)
                 prof_ok = pb == ps
                 profile_note = "agree" if prof_ok else f"DISAGREE: bar {pb} vs small {ps}"
                 agree = agree and prof_ok
-            else:
-                profile_note = "skipped (cap)"
         row["profile"] = profile_note
         rows.append(row)
         all_ok = all_ok and agree

@@ -62,6 +62,7 @@ from .homology import (
     HomologyClass,
     _prime_power_split,
     class_order,
+    format_order,
     generating_cycles,
     homology,
     is_boundary,
@@ -123,8 +124,7 @@ class Verdict:
         if self.kind == THEOREM_COVERED:
             return f"TheoremCovered({self.case})"
         if self.kind == NONZERO_WITNESS:
-            order = "infinite" if self.chi_order == 0 else str(self.chi_order)
-            return f"NonzeroWitness(order {order})"
+            return f"NonzeroWitness(order {format_order(self.chi_order)})"
         return self.kind
 
 

@@ -55,6 +55,15 @@ def coords_order(free, torsion, divisors) -> int:
     return lcm(*(d // gcd(d, c) for c, d in zip(torsion, divisors)))
 
 
+def format_order(order: int) -> str:
+    """An order as printed for a reader; 0 stands for infinite.
+
+    >>> format_order(0), format_order(4)
+    ('infinite', '4')
+    """
+    return "infinite" if order == 0 else str(order)
+
+
 @dataclass(frozen=True)
 class HomologyClass:
     """An element of a homology presentation, in generator coordinates.

@@ -1,5 +1,6 @@
 """Bar resolution oracle: boundary, shuffles, inversion, and profiles."""
 
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from twisthom.bar import (
     omega_of,
     shuffle_product,
 )
-from twisthom.bar import _window
+from twisthom.bar import _Complex
 
 
 def test_elements_enumeration():
@@ -170,14 +171,15 @@ def test_caps():
 
 
 def test_window_cache_is_bounded():
-    bar._WINDOWS.clear()
+    # One reduced complex per group; the bound counts groups.
+    bar._COMPLEXES.clear()
     cells = [(G(f"Z_{q}"), n) for q in range(2, 36) for n in (0, 1)]
-    assert len(cells) > bar._MAX_WINDOWS
+    assert len({g for g, _ in cells}) > bar._MAX_COMPLEXES
     first = [bar_homology(g, n) for g, n in cells[:4]]
     for g, n in cells:
         bar_homology(g, n)
-        assert len(bar._WINDOWS) <= bar._MAX_WINDOWS
-    assert all((g, n) not in bar._WINDOWS for g, n in cells[:4])
+        assert len(bar._COMPLEXES) <= bar._MAX_COMPLEXES
+    assert all(g not in bar._COMPLEXES for g, n in cells[:4])
     assert [bar_homology(g, n) for g, n in cells[:4]] == first
     assert first == [homology_type(g, n) for g, n in cells[:4]]
 
@@ -195,26 +197,52 @@ def test_infinite_groups_rejected():
 ])
 def test_window_lift_round_trip(group, n):
     g = G(group)
-    w = _window(g, n, 20000)
-    # The reduction's contract: no unit is left to cancel.
-    for cols in (w.e_cols, w.d_cols):
-        assert all(v not in (1, -1) for col in cols.values() for v in col.values())
+    cx = _Complex(g)
+    # The reduction's contract: each d_k has no unit left to cancel just
+    # after it is reduced, d_1 through d_{n+1}.
+    for _ in range(n + 1):
+        cx._extend()
+        assert all(v not in (1, -1) for col in cx.cols.values() for v in col.values())
     identity = tuple(0 for _ in g.factors)
-    torsion = w.pres.torsion
-    assert w.pres.free_rank == 0
+    torsion = cx.pres[n].torsion
+    assert cx.pres[n].free_rank == 0
     rng = random.Random(61)
     for j, divisor in enumerate(torsion):
         coords = tuple(1 if i == j else 0 for i in range(len(torsion)))
-        z = w.lift((), coords)
+        z = cx.lift(n, (), coords)
         assert all(identity not in key for key in z.terms)
-        assert w.class_coords(z) == ((), coords)
-        assert w.order_of(z) == divisor
+        assert cx.class_coords(z) == ((), coords)
+        assert cx.order_of(z) == divisor
         residue = bar_boundary(z)
         assert all(identity in key for key in residue.terms)
         # push sends a boundary to the zero class, degenerate tuples and all.
         for _ in range(3):
             b = _random_bar_chain(rng, g, n + 1)
-            assert w.class_coords(z + bar_boundary(b)) == w.class_coords(z)
+            assert cx.class_coords(z + bar_boundary(b)) == cx.class_coords(z)
+
+
+@pytest.mark.parametrize("group, n", [("Z_3 x Z_3", 1), ("Z_2 x Z_4~", 2)])
+def test_extension_order_does_not_matter(group, n):
+    # H_n is presented when the complex reaches degree n + 1; reaching
+    # 2n + 1 first, as chi_profile does, must not move a lift or a class.
+    g = G(group)
+    far, near = _Complex(g), _Complex(g)
+    for cx, top in ((far, 2 * n + 1), (near, n + 1)):
+        while cx.top < top:
+            cx._extend()
+    torsion = far.pres[n].torsion
+    assert near.pres[n] == far.pres[n] and torsion
+    rng = random.Random(67)
+    cycles = []
+    for residues in itertools.product(*(range(d) for d in torsion)):
+        z = far.lift(n, (), residues)
+        assert near.lift(n, (), residues) == z
+        cycles.append(z + bar_boundary(_random_bar_chain(rng, g, n + 1)))
+    coords = [far.class_coords(z) for z in cycles]
+    assert [near.class_coords(z) for z in cycles] == coords
+    while near.top < 2 * n + 1:
+        near._extend()
+    assert [near.class_coords(z) for z in cycles] == coords
 
 
 @pytest.mark.parametrize("group, degrees", [("Z_3", (1, 2, 3)), ("Z_2 x Z_2", (1, 2)), ("Z_4~", (1, 2))])

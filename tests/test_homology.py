@@ -1,12 +1,14 @@
 """Homology presentations: closed forms, reduction, and Kunneth checks."""
 
+import itertools
 import random
 
 import pytest
 
-from support import G, PROPERTY_GROUPS, random_chain, random_cycle
+from support import SHARPNESS_CELLS, G, PROPERTY_GROUPS, random_chain, random_cycle
 from twisthom import (
     AbelianType,
+    CyclicFactor,
     GroupSpec,
     InfiniteGroupError,
     NotACycleError,
@@ -308,3 +310,25 @@ def test_large_presentations_match_homology_type(group, degrees):
     g = G(group)
     for n in degrees:
         assert homology(g, n).abelian_type() == homology_type(g, n)
+
+
+def _permutation_groups() -> list[GroupSpec]:
+    """The sharpness groups, and Z^r (r <= 2) times two factors from
+    {Z_2, Z_3, Z_4~, Z_9}."""
+    groups = dict.fromkeys(G(group) for group, _ in SHARPNESS_CELLS)
+    factors = [G(text).factors[0] for text in ("Z_2", "Z_3", "Z_4~", "Z_9")]
+    for r in range(3):
+        for pair in itertools.combinations_with_replacement(factors, 2):
+            groups.setdefault(GroupSpec((CyclicFactor(0),) * r + pair), None)
+    return list(groups)
+
+
+def test_homology_type_is_invariant_under_factor_permutation():
+    seen = 0
+    for g in _permutation_groups():
+        types = [homology(g, n).abelian_type() for n in range(5)]
+        for factors in sorted(set(itertools.permutations(g.factors)), key=repr):
+            permuted = GroupSpec(factors)
+            assert [homology(permuted, n).abelian_type() for n in range(5)] == types, factors
+            seen += 5
+    assert seen == 935
