@@ -16,8 +16,8 @@ pairs i < j inside A when A == B, every cross pair otherwise -- whose
 products all fall in one target block.  Since H_n is the sum of the
 H(A), chi vanishes on H_n iff every task passes: chi vanishes on H(A),
 and the bilinear form b(x, y) = chi(x + y) - chi(x) - chi(y) vanishes on
-H(A) x H(B).  Three rules skip a whole task without forming its
-products, and all three are exact:
+H(A) x H(B).  Three rules decide a task without forming its products,
+and all three are exact:
 
 * free overlap -- the untwisted Z slots have no pairs, so every monomial
   of a block carries its key's degree there, and [1] ^ [1] = 0 on such a
@@ -26,20 +26,38 @@ products, and all three are exact:
 * degree -- every monomial of a block has at least its key's total
   degree, so when the target key's total is above 2n no monomial of
   degree 2n lies in the block and the product is zero;
-* orbit -- swapping two slots with the same (order, sign) is a group
-  automorphism that preserves the orientation character.  Write sigma
-  for a product of such swaps.  On the small complex sigma permutes the
-  degrees of each monomial, with the Koszul sign of the permutation, so
-  it is a signed monomial permutation that commutes with the
-  differential, with ``wedge`` and with j.  It maps each block A onto
-  the block sigma A, and H(A) isomorphically onto H(sigma A), and
-  chi(sigma x) = sigma chi(x).  Since chi is quadratic and b bilinear,
-  whether a task passes does not depend on which generating cycles
-  present H(A) and H(B); so {sigma A, sigma B} passes iff {A, B} does.
-  A task is skipped when its canonical form -- its columns (order, sign,
-  A_k, B_k) sorted, the smaller of the forms of (A, B) and (B, A) --
-  equals that of a task already tested.  The two rules above depend on
-  the keys slot by slot, so they skip whole orbits; they run first.
+* orbit -- give each slot a type (``_slot_type``): (order, +1) when
+  untwisted, one type for a twisted Z, and one shared type for every
+  twisted finite factor, whatever its order.  On a twisted finite slot
+  the small complex never reads the order: the differential is 2 on odd
+  degrees, ``wedge`` reads only whether the order is 0, and j is the
+  identity.  Let sigma permute slots of one type, with the Koszul sign
+  of the permutation on each monomial.  Then sigma is a signed monomial
+  permutation of the small complex that commutes with the differential,
+  with ``wedge`` and with j -- for a swap of two twisted finite slots of
+  different orders too, though that swap is no group automorphism.  It
+  maps each block A onto the block sigma A, and H(A) isomorphically onto
+  H(sigma A), and chi(sigma x) = sigma chi(x).  Since chi is quadratic
+  and b bilinear, whether a task passes does not depend on which
+  generating cycles present H(A) and H(B); so {sigma A, sigma B} passes
+  iff {A, B} does.  Two tasks lie in one orbit iff their canonical forms
+  (``_orbit_form``: the columns (type, A_k, B_k) sorted, the smaller of
+  the forms of (A, B) and (B, A)) are equal.  The two rules above read
+  the keys slot by slot, so each holds or fails for a whole orbit.
+
+The pass decides one task per orbit and never visits the rest.  The
+block keys fall into single-key orbits O_s (the sorted columns
+(type, A_k)); for each O_s it takes one representative A, and buckets
+every B of every O_t with t >= s by the form of {A, B}.  A bucket of c
+keys is one orbit of tasks, and the orbit's size is read off the bucket:
+|O_s| for the diagonal {A, A}, |O_s| c / 2 for a cross task with
+s == t (each unordered pair is met from both ends), and |O_s| c
+otherwise.  H(sigma A) is isomorphic to H(A), and a block's generator
+count is fixed by its homology (its torsion entries all equal the gcd of
+its coefficients), so every task of the orbit has as many pairs as the
+representative's.  The rules run once per bucket and count the whole
+orbit; otherwise the representative's pairs count as formed and the rest
+of the orbit's as skipped by the orbit rule.
 
 Any other product goes to ``is_boundary``, which splits a chain by block
 and checks each part as a cycle and reduces it in its block; a product
@@ -56,7 +74,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .chains import Chain, block_key, product_block_key
+from .chains import Chain, product_block_key
 from .groups import GroupSpec
 from .homology import (
     HomologyClass,
@@ -154,31 +172,38 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     because j is an algebra map and the product is graded-commutative at
     chain level, so each pair costs one product and one membership test
     in its target block, unless a skip rule of the module docstring shows
-    the product is zero or its block pair is an orbit-mate of one tested.
+    the product is zero or its task is an orbit-mate of one tested.
 
     The generating cycles are grouped by block key, in generator order,
-    and each unordered block pair {A, B} with A before or equal to B is
-    one task, taken in that order: the diagonals and pairs i < j inside A
-    when A == B, every cross pair otherwise.  When every task passes, the
-    verdict is Vanishes with these counts.  When a task fails, the ordered
-    pass runs instead -- diagonals first, then pairs i < j, under the free
-    and degree rules alone -- and its first failing pair gives the
-    witness, the failing pair and block, and the counts (no orbit skips).
+    and each unordered block pair {A, B} is one task: the diagonals and
+    pairs i < j inside A when A == B, every cross pair otherwise.  One
+    task per orbit is tested.  When every tested task passes, the verdict
+    is Vanishes with the orbit-level counts.  When a task fails, the
+    ordered pass runs instead -- diagonals first, then pairs i < j, under
+    the free and degree rules alone -- and its first failing pair gives
+    the witness, the failing pair and block, and the counts (no orbit
+    skips).
     """
+    h = homology(group, n)
     gens = generating_cycles(group, n)
-    jgens = [inversion_chain(z) for z in gens]
-    keys = [block_key(group, next(iter(z.terms))) for z in gens]
+    starts = list(h._layout.values()) + [len(gens)]
+    blocks = {key: range(a, b) for key, a, b in zip(h._layout, starts, starts[1:])}
+    jgens: dict = {}
     sign = -1 if n % 2 else 1
 
     def unbounded(i: int, j: int) -> Chain | None:
         """z_i ^ j(z_j), symmetrized when i != j, or None when it bounds."""
-        value = wedge(gens[i], jgens[j])
+        jz = jgens.get(j)
+        if jz is None:
+            jz = jgens[j] = inversion_chain(gens[j])
+        value = wedge(gens[i], jz)
         if i != j and not value.is_zero:
             value = value + sign * inversion_chain(value)
         return None if is_boundary(value) else value
 
-    counts = _orbit_pass(group, n, keys, unbounded)
+    counts = _orbit_pass(group, n, blocks, unbounded)
     if counts is None:
+        keys = [key for key, ids in blocks.items() for _ in ids]
         return _ordered_pass(group, n, gens, keys, unbounded)
     return Verdict(VANISHES, group, n, generators=len(gens), **counts)
 
@@ -196,36 +221,58 @@ def _skip_rule(n: int, key) -> str | None:
     return None
 
 
-def _orbit_form(slots, a, b) -> tuple:
+def _slot_type(order: int, sign: int) -> tuple[int, int]:
+    """The slot's type for the orbit rule: (order, +1) when untwisted,
+    (0, -1) for a twisted Z, and (1, -1) for every twisted finite factor,
+    whose order the small complex never reads (no factor has order 1)."""
+    if sign == 1 or order == 0:
+        return (order, sign)
+    return (1, -1)
+
+
+def _orbit_form(types, a, b) -> tuple:
     """A canonical form of the unordered block pair {a, b} under the
-    permutations of identical slots: its columns (slot, a_k, b_k), with
-    ``slots`` the (order, sign) of each slot, as a sorted tuple, the
+    permutations of slots of one type: its columns (type, a_k, b_k), with
+    ``types`` the ``_slot_type`` of each slot, as a sorted tuple, the
     smaller of the forms of (a, b) and (b, a)."""
-    return min(tuple(sorted(zip(slots, a, b))), tuple(sorted(zip(slots, b, a))))
+    return min(tuple(sorted(zip(types, a, b))), tuple(sorted(zip(types, b, a))))
 
 
-def _orbit_pass(group: GroupSpec, n: int, keys, unbounded) -> dict | None:
-    """The counts of the pass over block pairs under the three skip rules,
-    or None when a pair fails."""
-    blocks: dict = {}
-    for i, key in enumerate(keys):
-        blocks.setdefault(key, []).append(i)
-    slots = tuple(zip(group.orders, group.signs))
+def _orbit_pass(group: GroupSpec, n: int, blocks: dict, unbounded) -> dict | None:
+    """The counts of the pass over task orbits under the three skip rules,
+    or None when a tested task fails; ``blocks`` maps each block key to
+    the range of its generators."""
+    types = tuple(map(_slot_type, group.orders, group.signs))
+    orbits: dict = {}
+    for key in blocks:
+        orbits.setdefault(tuple(sorted(zip(types, key))), []).append(key)
+    orbits = list(orbits.values())
     counts = dict.fromkeys(_COUNTS, 0)
-    tested = set()
-    tasks = list(blocks.items())
-    for t, (a, ia) in enumerate(tasks):
-        for b, ib in tasks[t:]:
-            size = len(ia) * (len(ia) + 1) // 2 if a == b else len(ia) * len(ib)
+    for s, orbit in enumerate(orbits):
+        a = orbit[0]
+        ia = blocks[a]
+        buckets: dict = {}  # form -> [first key met, its orbit, keys met]
+        for t in range(s, len(orbits)):
+            for b in orbits[t]:
+                form = _orbit_form(types, a, b)
+                entry = buckets.get(form)
+                if entry is None:
+                    buckets[form] = [b, t, 1]
+                else:
+                    entry[2] += 1
+        for b, t, c in buckets.values():
+            ib = blocks[b]
+            if b == a:
+                size, tasks = len(ia) * (len(ia) + 1) // 2, len(orbit)
+            else:
+                size = len(ia) * len(ib)
+                tasks = len(orbit) * c // 2 if t == s else len(orbit) * c
             rule = _skip_rule(n, product_block_key(group, a, b))
-            if rule is None:
-                form = _orbit_form(slots, a, b)
-                rule = "skipped_orbit" if form in tested else None
-                tested.add(form)
             if rule is not None:
-                counts[rule] += size
+                counts[rule] += size * tasks
                 continue
             counts["pairs_formed"] += size
+            counts["skipped_orbit"] += size * (tasks - 1)
             pairs = (itertools.chain(zip(ia, ia), itertools.combinations(ia, 2)) if a == b
                      else itertools.product(ia, ib))
             if any(unbounded(i, j) is not None for i, j in pairs):

@@ -20,8 +20,8 @@ from twisthom import (
     parse_group_spec,
     zero_chain,
 )
-from twisthom.chains import basis
-from twisthom.criterion import chi_chain
+from twisthom.chains import basis, block_key, product_block_key
+from twisthom.criterion import _orbit_form, _skip_rule, _slot_type, chi_chain
 from twisthom.homology import class_order, generating_cycles, is_boundary
 from twisthom.pontryagin import inversion_chain, wedge
 
@@ -162,6 +162,34 @@ def reference_vanishing(group: GroupSpec, n: int):
                 w = gens[i] + gens[j]
                 return "NonzeroWitness", w, class_order(chi_chain(w))
     return "Vanishes", None, None
+
+
+def reference_orbit_counts(group: GroupSpec, n: int) -> tuple[int, int, int, int]:
+    """The provenance counts of a vanishing cell from a loop over every
+    unordered block pair: ``(formed, free, degree, orbit)``.  A pair is
+    counted under the free-overlap or degree rule when one holds, else
+    as formed when its orbit form (over the criterion's slot types) is
+    new, else as an orbit skip; each counts its generator pairs.
+    """
+    blocks: dict = {}
+    for i, z in enumerate(generating_cycles(group, n)):
+        blocks.setdefault(block_key(group, next(iter(z.terms))), []).append(i)
+    types = tuple(map(_slot_type, group.orders, group.signs))
+    counts = dict.fromkeys(("skipped_free", "skipped_degree", "formed", "orbit"), 0)
+    tested = set()
+    keys = list(blocks)
+    for s, a in enumerate(keys):
+        for b in keys[s:]:
+            m, k = len(blocks[a]), len(blocks[b])
+            size = m * (m + 1) // 2 if a == b else m * k
+            rule = _skip_rule(n, product_block_key(group, a, b))
+            if rule is None:
+                form = _orbit_form(types, a, b)
+                rule = "orbit" if form in tested else "formed"
+                tested.add(form)
+            counts[rule] += size
+    return (counts["formed"], counts["skipped_free"], counts["skipped_degree"],
+            counts["orbit"])
 
 
 def random_chain(

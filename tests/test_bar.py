@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from support import G
+from support import ORACLE_GROUPS, G
 from twisthom import CapExceededError, InfiniteGroupError, bar, homology_type
 from twisthom.bar import (
     bar_boundary,
@@ -253,3 +253,21 @@ def test_profile_orders_divide_group_order(group, degrees):
         for order, chi_order in chi_profile("bar", g, n):
             assert order >= 1 and size % order == 0
             assert chi_order >= 1 and size % chi_order == 0
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS)
+def test_lifted_classes_and_their_chi_values_are_cycles(group):
+    # Every degree whose chi-profile fits the oracle comparison's cap of
+    # 60000: a lifted class must bound only degenerate tuples, and so
+    # must its chi value, whether or not that value's class is zero.
+    g = G(group)
+    identity = tuple(0 for _ in g.factors)
+    n = 0
+    while g.group_order ** (2 * n + 1) <= 60000:
+        cx = bar._complex(g, (2 * n, 2 * n + 1), 60000)
+        for residues in itertools.product(*(range(d) for d in cx.pres[n].torsion)):
+            z = cx.lift(n, (), residues)
+            assert all(identity in key for key in bar_boundary(z).terms), (n, residues)
+            chi = shuffle_product(z, bar_inversion(z))
+            assert all(identity in key for key in bar_boundary(chi).terms), (n, residues)
+        n += 1

@@ -11,6 +11,7 @@ from support import (
     criterion_grid,
     random_chain,
     random_cycle,
+    reference_orbit_counts,
     reference_vanishing,
 )
 from twisthom import (
@@ -33,7 +34,9 @@ from twisthom import (
     vanishes_for_all,
     wedge,
 )
-from twisthom.homology import homology
+from twisthom.chains import basis
+from twisthom.criterion import _slot_type
+from twisthom.homology import homology, homology_type
 
 
 def test_j_star_sign_on_free_classes():
@@ -231,6 +234,10 @@ def test_verdict_provenance():
     v = vanishes_for_all(G("Z_2 x Z_2 x Z_2"), 3)
     assert (v.generators, v.pairs_formed, v.skipped_free, v.skipped_degree,
             v.skipped_orbit) == (7, 5, 0, 10, 13)
+    # Twisted finite slots of different orders are one slot type.
+    v = vanishes_for_all(G("Z_2~ x Z_4~ x Z_6~"), 3)
+    assert (v.generators, v.pairs_formed, v.skipped_free, v.skipped_degree,
+            v.skipped_orbit) == (6, 7, 0, 0, 14)
 
 
 def test_verdicts_hash():
@@ -321,7 +328,119 @@ ORBIT_CELLS = [("Z_2 x Z_2 x Z_2 x Z_2 x Z_2", 5), ("Z_2 x Z_2 x Z_2 x Z_2 x Z_2
 def test_orbit_skips_match_the_reference_loop(group, n):
     v = vanishes_for_all(G(group), n)
     assert v.vanishes and v.skipped_orbit > v.pairs_formed
+    assert (v.pairs_formed, v.skipped_free, v.skipped_degree,
+            v.skipped_orbit) == reference_orbit_counts(G(group), n)
     assert _agrees_with_reference(G(group), n)
+
+
+def _twisted_cells() -> list[tuple[GroupSpec, int]]:
+    """Twisted groups of 1-3 factors from {Z, Z~, Z_2, Z_2~, Z_4, Z_4~,
+    Z_6, Z_6~}, in degrees 0..5 (0..4 for three factors): twisted finite
+    slots of different orders side by side, which share one slot type."""
+    kinds = [CyclicFactor(q, s) for q in (0, 2, 4, 6) for s in (1, -1)]
+    cells = []
+    for k in range(1, 4):
+        for combo in itertools.combinations_with_replacement(kinds, k):
+            if any(f.twisted for f in combo):
+                cells += [(GroupSpec(combo), n) for n in range(6 if k < 3 else 5)]
+    return cells
+
+
+def test_vanishing_matches_the_reference_loop_on_twisted_cells():
+    # Every twisted cell of degree >= 2 vanishes, so the witnesses come
+    # from degrees 0 and 1, and the counts are checked on the rest.
+    cells = _twisted_cells()
+    assert len(cells) == 680
+    verdicts = [vanishes_for_all(g, n) for g, n in cells]
+    assert sum(not v.vanishes for v in verdicts) == 130
+    assert all(v.vanishes for (g, n), v in zip(cells, verdicts) if n >= 2)
+    assert [(str(g), n) for g, n in cells if not _agrees_with_reference(g, n)] == []
+    assert [(str(g), n) for (g, n), v in zip(cells, verdicts) if v.vanishes
+            and (v.pairs_formed, v.skipped_free, v.skipped_degree, v.skipped_orbit)
+            != reference_orbit_counts(g, n)] == []
+    v = vanishes_for_all(G("Z_2 x Z_2~ x Z_4 x Z_4~"), 6)
+    assert v.vanishes and v.pairs_formed == 704
+    assert (v.pairs_formed, v.skipped_free, v.skipped_degree,
+            v.skipped_orbit) == reference_orbit_counts(v.group, 6)
+
+
+# One of each slot kind the orbit rule must tell apart or merge.
+SLOT_KINDS = ("Z", "Z~", "Z_2", "Z_2~", "Z_3", "Z_4", "Z_4~", "Z_6~", "Z_9")
+
+
+def _swapped(chain: Chain) -> Chain:
+    """The first two slots of every monomial swapped, with the Koszul
+    sign (-1)^(a b) of the two degrees a, b; over the same group."""
+    return Chain(chain.group, chain.degree,
+                 {(b, a, *rest): -v if a & b & 1 else v
+                  for (a, b, *rest), v in chain.terms.items()})
+
+
+def _swap_is_an_automorphism(group: GroupSpec, rng: random.Random) -> bool:
+    """Whether the signed swap of the first two slots maps the basis onto
+    itself and commutes with ``boundary``, ``wedge`` and ``inversion_chain``
+    on seeded random chains."""
+    for d in range(6):
+        mons = basis(group, d)
+        if {(b, a, *rest) for a, b, *rest in mons} != set(mons):
+            return False
+    for _ in range(40):
+        x = random_chain(rng, group, rng.randint(1, 4))
+        y = random_chain(rng, group, rng.randint(1, 3))
+        if (boundary(_swapped(x)) != _swapped(boundary(x))
+                or wedge(_swapped(x), _swapped(y)) != _swapped(wedge(x, y))
+                or inversion_chain(_swapped(x)) != _swapped(inversion_chain(x))):
+            return False
+    return True
+
+
+def test_slot_types_are_the_slot_swap_automorphism_classes():
+    # The orbit rule is exact only if every pair of slots of one type
+    # swaps as an automorphism of the small complex, and it skips the
+    # most only if every such pair has one type.  A Z_3 slot stands by
+    # so that the Koszul signs and the wedge's cross terms come into play.
+    rng = random.Random(71)
+    for f, g in itertools.combinations_with_replacement(SLOT_KINDS, 2):
+        group = G(f"{f} x {g} x Z_3")
+        a, b = group.factors[:2]
+        same = _slot_type(a.order, a.sign) == _slot_type(b.order, b.sign)
+        assert _swap_is_an_automorphism(group, rng) == same, (f, g)
+
+
+# Each cyclic group next to its coprime split, the twist kept on the 2-part.
+COPRIME_SPLITS = [("Z_6", "Z_2 x Z_3"), ("Z_12~", "Z_4~ x Z_3"), ("Z_10", "Z_2 x Z_5"),
+                  ("Z_6~", "Z_2~ x Z_3"), ("Z_18", "Z_2 x Z_9"), ("Z_12", "Z_4 x Z_3"),
+                  ("Z_15", "Z_3 x Z_5")]
+
+
+def test_verdict_is_invariant_under_coprime_splits():
+    seen = 0
+    for whole, split in COPRIME_SPLITS:
+        for r in range(3):
+            free = "Z^%d x " % r if r else ""
+            g, h = G(free + whole), G(free + split)
+            for n in range(2, 8):
+                v, w = vanishes_for_all(g, n), vanishes_for_all(h, n)
+                assert (v.kind, v.chi_order) == (w.kind, w.chi_order), (str(g), n)
+                assert homology_type(g, n) == homology_type(h, n), (str(g), n)
+                seen += 1
+    assert seen == 126
+
+
+# Every cell above vanishes.  These split cells have witnesses; chi_order
+# is the order of chi at the first witness the ordered pass meets, which
+# a split can move (Z^3 x Z_15 and Z^3 x Z_3 x Z_5 in degree 3: 15 and
+# 5), so only the kind and the homology type are compared here.
+WITNESS_SPLITS = [("Z^3 x Z_6", "Z^3 x Z_2 x Z_3", 3), ("Z^4 x Z_6", "Z^4 x Z_2 x Z_3", 2),
+                  ("Z^2 x Z_3 x Z_6", "Z^2 x Z_3 x Z_2 x Z_3", 4),
+                  ("Z^3 x Z_15", "Z^3 x Z_3 x Z_5", 3)]
+
+
+@pytest.mark.parametrize("whole, split, n", WITNESS_SPLITS)
+def test_witness_kind_is_invariant_under_coprime_splits(whole, split, n):
+    g, h = G(whole), G(split)
+    assert vanishes_for_all(g, n).kind == vanishes_for_all(h, n).kind == "NonzeroWitness"
+    assert homology_type(g, n) == homology_type(h, n)
 
 
 def _permuted_cells() -> list[tuple[GroupSpec, int]]:
