@@ -41,9 +41,9 @@ and all three are exact:
   and b bilinear, whether a task passes does not depend on which
   generating cycles present H(A) and H(B); so {sigma A, sigma B} passes
   iff {A, B} does.  Two tasks lie in one orbit iff their canonical forms
-  (``_orbit_form``: the columns (type, A_k, B_k) sorted, the smaller of
-  the forms of (A, B) and (B, A)) are equal.  The two rules above read
-  the keys slot by slot, so each holds or fails for a whole orbit.
+  (the columns (type, A_k, B_k) sorted, the smaller of the forms of
+  (A, B) and (B, A)) are equal.  The two rules above read the keys slot
+  by slot, so each holds or fails for a whole orbit.
 
 The pass decides one task per orbit and never visits the rest.  The
 block keys fall into single-key orbits O_s (the sorted columns
@@ -58,6 +58,29 @@ its coefficients), so every task of the orbit has as many pairs as the
 representative's.  The rules run once per bucket and count the whole
 orbit; otherwise the representative's pairs count as formed and the rest
 of the orbit's as skipped by the orbit rule.
+
+Slot inclusions carry the orbit argument from one cell to another.  A
+column is idle when its slot is untwisted and both keys hold 0 there.
+An untwisted slot at key 0 is unpaired (its [1] is a cycle), so on an
+idle slot every monomial of A, of B and of the target block has degree
+0.  Dropping the slot is then the inclusion of the smaller group's small
+complex as the monomials of degree 0 there; it commutes with the
+differential, with ``wedge`` ([0] ^ [0] = [0]) and with j, and maps each
+block isomorphically.  So whether a task passes depends only on its
+reduced form (``_orbit_form``): n, which fixes how many paired slots a
+monomial of A raises (n - |A|), then the columns that are not idle,
+sorted, the smaller of the two orientations, each column flattened to
+the four ints (order, sign, A_k, B_k) of its type and keys.  A twisted
+column stays even at key 0: there the slot is paired (d[1] = 2[0]) and
+its monomials reach degree 1, so no inclusion drops it.  Within one cell
+the number of slots of each type is fixed, so equal reduced forms mean
+equal canonical forms, and the buckets use the reduced form too.  Each
+tested form's outcome goes into a module-level memo (``_TASKS``, the
+oldest dropped past ``_MAX_TASKS``), so over a family of cells each form
+is tested once per process.  A memo hit adds to the counts exactly what
+a tested task adds, so the four counts depend on (group, n) alone, and a
+remembered failure goes to the ordered pass like a fresh one, so the
+witness does not depend on the memo either.
 
 Any other product goes to ``is_boundary``, which splits a chain by block
 and checks each part as a cycle and reduces it in its block; a product
@@ -103,6 +126,9 @@ class Verdict:
 
     ``witness`` and the ``chi_*`` fields are set only for NonzeroWitness;
     ``case`` only for TheoremCovered.  ``chi_order`` uses 0 for infinite.
+    It is the order of chi at the witness, the first failing pair of the
+    ordered pass, and not an invariant of the cell: in degree 3 it is 15
+    for Z^3 x Z_15 but 5 for the isomorphic Z^3 x Z_3 x Z_5.
 
     ``witness`` and ``chi_chain`` are chains, which do not hash, so they
     take part in equality but not in the hash.
@@ -182,7 +208,8 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     ordered pass runs instead -- diagonals first, then pairs i < j, under
     the free and degree rules alone -- and its first failing pair gives
     the witness, the failing pair and block, and the counts (no orbit
-    skips).
+    skips).  A task whose reduced form an earlier cell of the process
+    decided is not tested again; its remembered outcome counts the same.
     """
     h = homology(group, n)
     gens = generating_cycles(group, n)
@@ -230,12 +257,23 @@ def _slot_type(order: int, sign: int) -> tuple[int, int]:
     return (1, -1)
 
 
-def _orbit_form(types, a, b) -> tuple:
-    """A canonical form of the unordered block pair {a, b} under the
-    permutations of slots of one type: its columns (type, a_k, b_k), with
-    ``types`` the ``_slot_type`` of each slot, as a sorted tuple, the
-    smaller of the forms of (a, b) and (b, a)."""
-    return min(tuple(sorted(zip(types, a, b))), tuple(sorted(zip(types, b, a))))
+def _orbit_form(n: int, types, a, b) -> tuple:
+    """The reduced canonical form of the unordered block pair {a, b} in
+    degree n, under slot permutations and inclusions: n, then the columns
+    (type, a_k, b_k) with ``types`` the ``_slot_type`` of each slot, idle
+    columns (untwisted, 0 in both keys) dropped, sorted, the smaller of the
+    forms of (a, b) and (b, a), each column flattened to four ints."""
+    ab = [(o, s, i, j) for (o, s), i, j in zip(types, a, b) if i or j or s < 0]
+    ba = [(o, s, j, i) for o, s, i, j in ab]
+    ab.sort()
+    ba.sort()
+    return (n, *itertools.chain.from_iterable(min(ab, ba)))
+
+
+# Outcome (passes or not) of each reduced task form tested so far, oldest
+# first; past _MAX_TASKS the oldest is dropped.
+_TASKS: dict[tuple, bool] = {}
+_MAX_TASKS = 1 << 14
 
 
 def _orbit_pass(group: GroupSpec, n: int, blocks: dict, unbounded) -> dict | None:
@@ -254,13 +292,13 @@ def _orbit_pass(group: GroupSpec, n: int, blocks: dict, unbounded) -> dict | Non
         buckets: dict = {}  # form -> [first key met, its orbit, keys met]
         for t in range(s, len(orbits)):
             for b in orbits[t]:
-                form = _orbit_form(types, a, b)
+                form = _orbit_form(n, types, a, b)
                 entry = buckets.get(form)
                 if entry is None:
                     buckets[form] = [b, t, 1]
                 else:
                     entry[2] += 1
-        for b, t, c in buckets.values():
+        for form, (b, t, c) in buckets.items():
             ib = blocks[b]
             if b == a:
                 size, tasks = len(ia) * (len(ia) + 1) // 2, len(orbit)
@@ -273,9 +311,14 @@ def _orbit_pass(group: GroupSpec, n: int, blocks: dict, unbounded) -> dict | Non
                 continue
             counts["pairs_formed"] += size
             counts["skipped_orbit"] += size * (tasks - 1)
-            pairs = (itertools.chain(zip(ia, ia), itertools.combinations(ia, 2)) if a == b
-                     else itertools.product(ia, ib))
-            if any(unbounded(i, j) is not None for i, j in pairs):
+            passes = _TASKS.get(form)
+            if passes is None:
+                pairs = (itertools.chain(zip(ia, ia), itertools.combinations(ia, 2)) if a == b
+                         else itertools.product(ia, ib))
+                passes = _TASKS[form] = all(unbounded(i, j) is None for i, j in pairs)
+                if len(_TASKS) > _MAX_TASKS:
+                    del _TASKS[next(iter(_TASKS))]
+            if not passes:
                 return None
     return counts
 

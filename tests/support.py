@@ -21,7 +21,7 @@ from twisthom import (
     zero_chain,
 )
 from twisthom.chains import basis, block_key, product_block_key
-from twisthom.criterion import _orbit_form, _skip_rule, _slot_type, chi_chain
+from twisthom.criterion import _skip_rule, _slot_type, chi_chain
 from twisthom.homology import class_order, generating_cycles, is_boundary
 from twisthom.pontryagin import inversion_chain, wedge
 
@@ -168,8 +168,9 @@ def reference_orbit_counts(group: GroupSpec, n: int) -> tuple[int, int, int, int
     """The provenance counts of a vanishing cell from a loop over every
     unordered block pair: ``(formed, free, degree, orbit)``.  A pair is
     counted under the free-overlap or degree rule when one holds, else
-    as formed when its orbit form (over the criterion's slot types) is
-    new, else as an orbit skip; each counts its generator pairs.
+    as formed when its orbit form (the columns (type, a_k, b_k) over the
+    criterion's slot types, sorted, the smaller orientation) is new, else
+    as an orbit skip; each counts its generator pairs.
     """
     blocks: dict = {}
     for i, z in enumerate(generating_cycles(group, n)):
@@ -184,7 +185,7 @@ def reference_orbit_counts(group: GroupSpec, n: int) -> tuple[int, int, int, int
             size = m * (m + 1) // 2 if a == b else m * k
             rule = _skip_rule(n, product_block_key(group, a, b))
             if rule is None:
-                form = _orbit_form(types, a, b)
+                form = tuple(min(sorted(zip(types, a, b)), sorted(zip(types, b, a))))
                 rule = "orbit" if form in tested else "formed"
                 tested.add(form)
             counts[rule] += size

@@ -34,6 +34,7 @@ from twisthom import (
     vanishes_for_all,
     wedge,
 )
+from twisthom import criterion
 from twisthom.chains import basis
 from twisthom.criterion import _slot_type
 from twisthom.homology import homology, homology_type
@@ -405,6 +406,102 @@ def test_slot_types_are_the_slot_swap_automorphism_classes():
         a, b = group.factors[:2]
         same = _slot_type(a.order, a.sign) == _slot_type(b.order, b.sign)
         assert _swap_is_an_automorphism(group, rng) == same, (f, g)
+
+
+def _verdict_record(v: Verdict) -> tuple:
+    return (v.kind, format_chain(v.witness) if v.witness is not None else None, v.chi_order,
+            v.failing_pair, v.failing_block, v.pairs_formed, v.skipped_free,
+            v.skipped_degree, v.skipped_orbit)
+
+
+def test_verdicts_do_not_depend_on_the_task_memo(monkeypatch):
+    # The memo of task outcomes by reduced form is shared by every cell
+    # of the process.  Cold (cleared before each cell), filled by earlier
+    # cells, fully warm, and evicting on every insert, each cell must get
+    # the same verdict, witness, provenance and counts.
+    cells = _twisted_cells() + _mixed_slot_family()
+    cold = []
+    for g, n in cells:
+        criterion._TASKS.clear()
+        cold.append(_verdict_record(vanishes_for_all(g, n)))
+    criterion._TASKS.clear()
+    filling = [_verdict_record(vanishes_for_all(g, n)) for g, n in cells]
+    size = len(criterion._TASKS)
+    assert 0 < size < criterion._MAX_TASKS
+    warm = [_verdict_record(vanishes_for_all(g, n)) for g, n in cells]
+    assert len(criterion._TASKS) == size  # every form was already decided
+    criterion._TASKS.clear()
+    monkeypatch.setattr(criterion, "_MAX_TASKS", 1)
+    evicting = [_verdict_record(vanishes_for_all(g, n)) for g, n in cells]
+    assert len(criterion._TASKS) <= 1
+    assert filling == cold and warm == cold and evicting == cold
+
+
+def _inclusion_family() -> list[tuple[GroupSpec, int]]:
+    """Groups of 1-2 factors from SLOT_KINDS, each also with one untwisted
+    factor from {Z, Z_2, Z_3, Z_4} appended, in degrees 0..5: the block
+    pairs of G reappear in G x C with an idle column for C."""
+    groups: dict[GroupSpec, None] = {}
+    for k in (1, 2):
+        for combo in itertools.combinations_with_replacement(SLOT_KINDS, k):
+            g = G(" x ".join(combo))
+            groups.setdefault(g, None)
+            for extra in ("Z", "Z_2", "Z_3", "Z_4"):
+                groups.setdefault(GroupSpec(g.factors + G(extra).factors), None)
+    return [(g, n) for g in groups for n in range(6)]
+
+
+def test_each_reduced_task_form_has_one_outcome():
+    # The memo is exact only if a task's outcome is a function of its
+    # reduced form: n and the columns that are not idle, whatever group
+    # the task came from.  Each cell starts from an empty memo, so every
+    # entry below is a task the cell tested itself.
+    outcomes: dict[tuple, set] = {}
+    sources: dict[tuple, set] = {}
+    for g, n in _inclusion_family():
+        criterion._TASKS.clear()
+        vanishes_for_all(g, n)
+        for form, passes in criterion._TASKS.items():
+            outcomes.setdefault(form, set()).add(passes)
+            sources.setdefault(form, set()).add(g)
+    criterion._TASKS.clear()
+    assert [form for form, seen in outcomes.items() if len(seen) > 1] == []
+    assert {False} in outcomes.values() and {True} in outcomes.values()
+    assert sum(len(groups) > 1 for groups in sources.values()) > len(sources) // 2
+
+
+def _untwisted_cover_family() -> list[tuple[GroupSpec, int]]:
+    """Z^r (r <= 3) times 1-4 factors from {Z_2, Z_3, Z_4, Z_6, Z_8, Z_9},
+    in degrees 2..6: a family beyond the covered grid."""
+    cells = []
+    for r in range(4):
+        for k in range(1, 5):
+            for orders in itertools.combinations_with_replacement((2, 3, 4, 6, 8, 9), k):
+                g = GroupSpec((CyclicFactor(0),) * r + tuple(CyclicFactor(q) for q in orders))
+                cells += [(g, n) for n in range(2, 7)]
+    return cells
+
+
+def _twisted_cover_family() -> list[tuple[GroupSpec, int]]:
+    """1-3 factors from a pool of slot kinds, at least one of them twisted,
+    in degrees 2..6: every cell is covered by the twisted-action case."""
+    kinds = ("Z", "Z~", "Z_2", "Z_2~", "Z_3", "Z_4", "Z_4~", "Z_6", "Z_6~", "Z_8~", "Z_9")
+    cells = []
+    for k in range(1, 4):
+        for combo in itertools.combinations_with_replacement(kinds, k):
+            g = G(" x ".join(combo))
+            if g.twisted:
+                cells += [(g, n) for n in range(2, 7)]
+    return cells
+
+
+def test_coverage_implies_vanishing_beyond_the_grid():
+    for family, size, covered in ((_untwisted_cover_family(), 4180, 297),
+                                  (_twisted_cover_family(), 1400, 1400)):
+        assert len(family) == size
+        cells = [(g, n) for g, n in family if theorem_cover(g, n).covered]
+        assert len(cells) == covered
+        assert [(str(g), n) for g, n in cells if not vanishes_for_all(g, n).vanishes] == []
 
 
 # Each cyclic group next to its coprime split, the twist kept on the 2-part.
