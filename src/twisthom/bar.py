@@ -41,15 +41,11 @@ Element = tuple[int, ...]
 BarKey = tuple[Element, ...]
 
 
-def _orders(group: GroupSpec) -> tuple[int, ...]:
-    if not group.is_finite:
-        raise InfiniteGroupError("bar computations need a finite group")
-    return group.orders
-
-
 def elements(group: GroupSpec) -> list[Element]:
     """All group elements as exponent vectors, lexicographically."""
-    return list(itertools.product(*(range(o) for o in _orders(group))))
+    if not group.is_finite:
+        raise InfiniteGroupError("bar computations need a finite group")
+    return list(itertools.product(*(range(o) for o in group.orders)))
 
 
 def omega_of(group: GroupSpec, elt: Element) -> int:
@@ -71,13 +67,15 @@ def _inv(orders: tuple[int, ...], x: Element) -> Element:
 
 @dataclass(frozen=True)
 class BarChain:
-    """Integer combination of bar tuples of one degree."""
+    """Integer combination of bar tuples of one degree, over a finite group."""
 
     group: GroupSpec
     degree: int
     terms: dict[BarKey, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.group.is_finite:
+            raise InfiniteGroupError("bar computations need a finite group")
         cleaned = {k: v for k, v in self.terms.items() if v}
         object.__setattr__(self, "terms", cleaned)
 
@@ -121,7 +119,6 @@ class BarChain:
 
 
 def bar_chain(group: GroupSpec, degree: int, terms: dict[BarKey, int]) -> BarChain:
-    _orders(group)
     for key in terms:
         if len(key) != degree:
             raise ValueError("bar tuple length disagrees with the degree")
@@ -155,7 +152,7 @@ def _key_boundary(group: GroupSpec, orders: tuple[int, ...], key: BarKey) -> dic
 
 def bar_boundary(chain: BarChain) -> BarChain:
     """The bar differential, extended linearly."""
-    orders = _orders(chain.group)
+    orders = chain.group.orders
     total: dict[BarKey, int] = {}
     for key, coeff in chain.terms.items():
         for face, v in _key_boundary(chain.group, orders, key).items():
@@ -183,7 +180,6 @@ def shuffle_product(a: BarChain, b: BarChain) -> BarChain:
     if a.group != b.group:
         raise ValueError("bar chains over different groups")
     group = a.group
-    _orders(group)
     p, q = a.degree, b.degree
     if not a.terms or not b.terms:
         return BarChain(group, p + q, {})
@@ -213,7 +209,7 @@ def shuffle_product(a: BarChain, b: BarChain) -> BarChain:
 def bar_inversion(chain: BarChain) -> BarChain:
     """Entrywise inversion of every tuple; omega is inversion-invariant,
     so no coefficient twist appears."""
-    orders = _orders(chain.group)
+    orders = chain.group.orders
     total: dict[BarKey, int] = {}
     for key, coeff in chain.terms.items():
         new = tuple(_inv(orders, g) for g in key)
@@ -287,7 +283,7 @@ class _Complex:
 
     def __init__(self, group: GroupSpec):
         self.group = group
-        self.orders = _orders(group)
+        self.orders = group.orders
         self.identity: Element = (0,) * len(self.orders)
         self.nontrivial = [e for e in elements(group) if e != self.identity]
         self.top = 0

@@ -122,7 +122,9 @@ def monomial_chain(group: GroupSpec, monomial, coefficient: int = 1) -> Chain:
     return Chain(group, sum(mon), {mon: coefficient} if coefficient else {})
 
 
-def _validate_monomial(group: GroupSpec, mon: Monomial) -> None:
+def _validate_monomial(group: GroupSpec, mon: Monomial, degree: int | None = None) -> None:
+    """Refuse a monomial outside the basis, or, when ``degree`` is given,
+    of another total degree."""
     orders = group.orders
     if len(mon) != len(orders):
         raise InvalidMonomialError(f"expected {len(orders)} slots, got {len(mon)}")
@@ -131,6 +133,8 @@ def _validate_monomial(group: GroupSpec, mon: Monomial) -> None:
             raise InvalidMonomialError(f"negative degree {i} in slot {k + 1}")
         if orders[k] == 0 and i > 1:
             raise InvalidMonomialError(f"slot {k + 1} is infinite cyclic, degree must be 0 or 1")
+    if degree is not None and sum(mon) != degree:
+        raise DegreeMismatchError(f"term of degree {sum(mon)} in a degree-{degree} chain")
 
 
 @lru_cache(maxsize=4096)
@@ -290,12 +294,9 @@ def parse_chain(group: GroupSpec, text: str) -> Chain:
             mon = tuple(int(tok) for tok in body.split())
         except ValueError:
             raise ChainSyntaxError(f"bad degree vector [{body.strip()}]") from None
-        _validate_monomial(group, mon)
-        d = sum(mon)
         if degree is None:
-            degree = d
-        elif d != degree:
-            raise DegreeMismatchError(f"term of degree {d} in a degree-{degree} chain")
+            degree = sum(mon)
+        _validate_monomial(group, mon, degree)
         v = terms.get(mon, 0) + coef
         if v:
             terms[mon] = v

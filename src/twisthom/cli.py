@@ -297,26 +297,27 @@ _DISPATCH = {
 }
 
 
+# Exit code of each refused input; the first matching type wins, and
+# NotACycleError comes first because it is a ChainError.
+_EXIT_CODES = {
+    NotACycleError: EXIT_NOT_A_CYCLE,
+    GroupSpecError: EXIT_USAGE,
+    ChainError: EXIT_USAGE,
+    UsageError: EXIT_USAGE,
+    InfiniteGroupError: EXIT_USAGE,
+    DegreeTooSmallError: EXIT_DEGREE,
+    CapExceededError: EXIT_CAP,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         code, payload, lines = _DISPATCH[args.command](args)
-    except (GroupSpecError, ChainError, UsageError) as exc:
-        if isinstance(exc, NotACycleError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOT_A_CYCLE
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegreeTooSmallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGREE
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except InfiniteGroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:

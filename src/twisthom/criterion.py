@@ -82,10 +82,10 @@ a tested task adds, so the four counts depend on (group, n) alone, and a
 remembered failure goes to the ordered pass like a fresh one, so the
 witness does not depend on the memo either.
 
-Any other product goes to ``is_boundary``, which splits a chain by block
-and checks each part as a cycle and reduces it in its block; a product
-lies in one block, so that block alone is touched (a block with no
-homology still gets the cycle check).
+Any other product is tested in its target block by the block rule of
+:mod:`~twisthom.homology`: it is checked as a cycle there and bounds iff
+the block's gcd divides the gcd of its coefficients.  The target key
+comes from ``product_block_key``, so no product is split by block again.
 
 ``theorem_cover`` is the purely syntactic companion: it recognizes the
 group shapes and degree ranges for which vanishing is guaranteed without
@@ -106,7 +106,6 @@ from .homology import (
     format_order,
     generating_cycles,
     homology,
-    is_boundary,
 )
 from .pontryagin import inversion_chain, wedge
 
@@ -196,9 +195,9 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     Runs the finite bilinear reduction over generating cycles.  Cross
     terms use the identity z_j ^ j(z_i) = (-1)^n j(z_i ^ j(z_j)), valid
     because j is an algebra map and the product is graded-commutative at
-    chain level, so each pair costs one product and one membership test
-    in its target block, unless a skip rule of the module docstring shows
-    the product is zero or its task is an orbit-mate of one tested.
+    chain level, so each pair costs one product and one test by the block
+    rule in its target block, unless a skip rule of the module docstring
+    shows the product is zero or its task is an orbit-mate of one tested.
 
     The generating cycles are grouped by block key, in generator order,
     and each unordered block pair {A, B} is one task: the diagonals and
@@ -212,21 +211,23 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     decided is not tested again; its remembered outcome counts the same.
     """
     h = homology(group, n)
+    h2 = homology(group, 2 * n)
     gens = generating_cycles(group, n)
     starts = list(h._layout.values()) + [len(gens)]
     blocks = {key: range(a, b) for key, a, b in zip(h._layout, starts, starts[1:])}
     jgens: dict = {}
     sign = -1 if n % 2 else 1
 
-    def unbounded(i: int, j: int) -> Chain | None:
-        """z_i ^ j(z_j), symmetrized when i != j, or None when it bounds."""
+    def unbounded(i: int, j: int, key) -> Chain | None:
+        """z_i ^ j(z_j), symmetrized when i != j, or None when it bounds;
+        ``key`` is the target block the product lies in."""
         jz = jgens.get(j)
         if jz is None:
             jz = jgens[j] = inversion_chain(gens[j])
         value = wedge(gens[i], jz)
         if i != j and not value.is_zero:
             value = value + sign * inversion_chain(value)
-        return None if is_boundary(value) else value
+        return None if value.is_zero or h2._order(key, value.terms.items()) == 1 else value
 
     counts = _orbit_pass(group, n, blocks, unbounded)
     if counts is None:
@@ -305,7 +306,8 @@ def _orbit_pass(group: GroupSpec, n: int, blocks: dict, unbounded) -> dict | Non
             else:
                 size = len(ia) * len(ib)
                 tasks = len(orbit) * c // 2 if t == s else len(orbit) * c
-            rule = _skip_rule(n, product_block_key(group, a, b))
+            key = product_block_key(group, a, b)
+            rule = _skip_rule(n, key)
             if rule is not None:
                 counts[rule] += size * tasks
                 continue
@@ -315,7 +317,7 @@ def _orbit_pass(group: GroupSpec, n: int, blocks: dict, unbounded) -> dict | Non
             if passes is None:
                 pairs = (itertools.chain(zip(ia, ia), itertools.combinations(ia, 2)) if a == b
                          else itertools.product(ia, ib))
-                passes = _TASKS[form] = all(unbounded(i, j) is None for i, j in pairs)
+                passes = _TASKS[form] = all(unbounded(i, j, key) is None for i, j in pairs)
                 if len(_TASKS) > _MAX_TASKS:
                     del _TASKS[next(iter(_TASKS))]
             if not passes:
@@ -335,7 +337,7 @@ def _ordered_pass(group: GroupSpec, n: int, gens, keys, unbounded) -> Verdict:
             counts[rule] += 1
             continue
         counts["pairs_formed"] += 1
-        value = unbounded(i, j)
+        value = unbounded(i, j, key)
         if value is not None:
             witness = gens[i] if i == j else gens[i] + gens[j]
             chi = value if i == j else chi_chain(witness)

@@ -12,10 +12,26 @@ differential, and its generators from the Smith form of the transposed
 incoming differential written in cycle coordinates; it hands out one
 coordinate row and one cycle vector per generator.  A block whose
 coefficients have gcd 1 is exact: its presentation is empty and it drops
-out.  A chain is checked as a cycle on each block's Koszul columns, and
-reduced, tested for bounding, or given its order block by block, touching
-only the blocks its terms lie in.  Presentations are cached per ``(group, n)`` and compare equal when
-``(group, n)`` is equal.
+out.  A chain is checked as a cycle on each block's Koszul columns, block
+by block, touching only the blocks its terms lie in.  ``reduce`` reads a
+cycle's coordinates off the coordinate rows; a class's order, and so
+whether it bounds, needs no coordinates.  Presentations are cached per
+``(group, n)`` and compare equal when ``(group, n)`` is equal.
+
+The block rule.  Let g = gcd(c) in K(c) (g = 0 when no slot is paired),
+and let the cycle z of K(c) have content k, the gcd of its coefficients.
+Then the class of z has order g / gcd(g, k), with 0 for infinite:
+
+1. For g > 0, K(c) is K(c/g) with its differential times g, and c/g is
+   primitive, so K(c/g) is split exact: the cycles Z of K(c) are a
+   direct summand, and its boundaries are gZ.
+2. So mz bounds iff mz/g is integral (it is then a cycle), iff g | mk,
+   and the least such m > 0 is g / gcd(g, k).
+3. For g = 0 the block is Z in degree 0 with zero differential, and a
+   nonzero cycle has infinite order.
+
+``class_order`` is the lcm of the rule over the blocks a chain touches,
+and a chain bounds iff it is zero or a cycle of order 1.
 
 >>> from .groups import parse_group_spec
 >>> g = parse_group_spec("Z_2 x Z_2")
@@ -26,6 +42,17 @@ only the blocks its terms lie in.  Presentations are cached per ``(group, n)`` a
 >>> h = homology(parse_group_spec("Z_6"), 1)
 >>> str(h), h.torsion_divisors
 ('Z_2 + Z_3', (6,))
+
+In degree 2 of Z_4 x Z_6, [1 1] spans degree 0 of the block K(4, -6),
+where g = 2:
+
+>>> from .chains import parse_chain
+>>> g = parse_group_spec("Z_4 x Z_6")
+>>> str(homology(g, 2))
+'Z_2'
+>>> z = parse_chain(g, "[1 1]")
+>>> class_order(z), is_boundary(z), is_boundary(2 * z)
+(2, False, True)
 """
 
 from __future__ import annotations
@@ -35,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
-from .chains import Chain, ChainError, basis, block_key, block_pairing
+from .chains import Chain, ChainError, _validate_monomial, basis, block_key, block_pairing
 from .groups import GroupSpec
 from .snf import QuotientPresentation, quotient_presentation
 
@@ -147,14 +174,15 @@ def _koszul_columns(coeffs: tuple[int, ...], t: int) -> list[dict[int, int]]:
 class _Koszul:
     """H_t of one Koszul block shape: the t-subsets, their index, the
     differential's columns on them, and the presentation over them, whose
-    ``generators`` are one cycle vector per generator (torsion first).  A
-    block whose coefficients have gcd 1 is exact: its presentation is
-    empty."""
+    ``generators`` are one cycle vector per generator (torsion first), and
+    ``g``, the gcd of the coefficients (0 when no slot is paired).  A block
+    with g = 1 is exact: its presentation is empty."""
 
     subsets: tuple[tuple[int, ...], ...]
     index: dict
     columns: list[dict[int, int]]
     core: QuotientPresentation
+    g: int
 
     def is_cycle(self, vec: dict[int, int]) -> bool:
         """Whether the block's differential kills a local vector."""
@@ -171,12 +199,13 @@ def _koszul(coeffs: tuple[int, ...], t: int) -> _Koszul:
     subsets = tuple(itertools.combinations(range(m), t))
     index = {s: i for i, s in enumerate(subsets)}
     columns = _koszul_columns(coeffs, t)
-    if gcd(*coeffs) == 1:
+    g = gcd(*coeffs)
+    if g == 1:
         core = QuotientPresentation((), 0, (), ())
     else:
         core = quotient_presentation(columns, comb(m, t - 1) if t else 0,
                                      _koszul_columns(coeffs, t + 1))
-    return _Koszul(subsets, index, columns, core)
+    return _Koszul(subsets, index, columns, core, g)
 
 
 class HomologyPresentation:
@@ -273,23 +302,29 @@ class HomologyPresentation:
             raise NotACycleError("chain has nonzero boundary")
         return kos, vec
 
+    def _order(self, key, terms) -> int:
+        """Order of the class of ``terms``, which all lie in the block of
+        ``key``, by the block rule g / gcd(g, content); 0 stands for
+        infinite.  Raises ``NotACycleError`` unless they form a cycle."""
+        kos, vec = self._local(key, terms)
+        return kos.g // gcd(kos.g, *vec.values())
+
     def _parts(self, chain: Chain):
-        """(key, _Koszul, free, torsion) for each block the chain touches
-        that has homology: the block's local coordinates of its part of the
-        chain.  Each part is checked as a cycle, since the differential
-        keeps every block, and ``NotACycleError`` is raised on the first
-        part that is not one."""
+        """The chain's terms split by block key, as (key, terms) pairs;
+        the differential keeps every block, so each part is a cycle when
+        the chain is one."""
         split: dict = {}
         for mon, coef in chain.terms.items():
             split.setdefault(block_key(self.group, mon), []).append((mon, coef))
-        for key, terms in split.items():
-            kos, vec = self._local(key, terms)
-            if kos.core.generators:
-                yield key, kos, *kos.core.class_coords(vec)
+        return split.items()
 
     def _check_home(self, chain: Chain) -> None:
+        """Refuse a chain from another group or degree, or with a monomial
+        outside this degree's basis."""
         if chain.group != self.group or chain.degree != self.degree:
             raise ValueError("chain does not live where this presentation does")
+        for mon in chain.terms:
+            _validate_monomial(self.group, mon, self.degree)
 
     def zero(self) -> HomologyClass:
         return HomologyClass(self, (0,) * self.free_rank, (0,) * len(self.torsion_divisors))
@@ -308,10 +343,12 @@ class HomologyPresentation:
     def reduce(self, chain: Chain) -> HomologyClass:
         self._check_home(chain)
         coords = [0] * self.num_generators
-        for key, _, free, torsion in self._parts(chain):
-            local = torsion + free
-            start = self._layout[key]
-            coords[start:start + len(local)] = local
+        for key, terms in self._parts(chain):
+            kos, vec = self._local(key, terms)
+            if kos.core.generators:
+                free, torsion = kos.core.class_coords(vec)
+                start = self._layout[key]
+                coords[start:start + len(kos.core.generators)] = torsion + free
         nt = len(self.torsion_divisors)
         return HomologyClass(self, tuple(coords[nt:]), tuple(coords[:nt]))
 
@@ -358,21 +395,16 @@ def reduce_cycle(chain: Chain) -> HomologyClass:
 def class_order(chain: Chain) -> int:
     """Order of the cycle's homology class; 0 stands for infinite.
 
-    Only the blocks the chain touches are reduced."""
+    The lcm of the block rule's orders over the blocks the chain touches."""
     h = homology(chain.group, chain.degree)
     h._check_home(chain)
-    return lcm(*(coords_order(free, torsion, kos.core.torsion)
-                 for _, kos, free, torsion in h._parts(chain)))
+    return lcm(*(h._order(key, terms) for key, terms in h._parts(chain)))
 
 
 def is_boundary(chain: Chain) -> bool:
-    """Whether the chain bounds: it is a cycle and its coordinates vanish in
-    every block it touches."""
-    if chain.is_zero:
-        return True
-    h = homology(chain.group, chain.degree)
+    """Whether the chain bounds: it is zero, or a cycle of order 1."""
     try:
-        return not any(any(free) or any(torsion) for _, _, free, torsion in h._parts(chain))
+        return chain.is_zero or class_order(chain) == 1
     except NotACycleError:
         return False
 

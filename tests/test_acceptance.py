@@ -9,9 +9,11 @@ so a full run doubles as a release report.  The criteria, in order:
 4. eight chain-level laws hold on randomized chains over every grid group,
 5. small-resolution, Kunneth, and bar-resolution answers agree cell by cell,
 6. closed-form Kunneth predictions match every factor split,
-7. theorem coverage implies an affirmative vanishing decision.
+7. theorem coverage implies an affirmative vanishing decision,
+8. every sweep verdict, witness and count matches a pinned digest.
 """
 
+import hashlib
 import random
 import time
 
@@ -44,6 +46,7 @@ from twisthom import (
     theorem_cover,
     wedge,
 )
+from twisthom.chains import format_chain
 from twisthom.homology import homology, is_boundary
 
 ORACLE_CAP = 60000
@@ -246,3 +249,23 @@ def test_7_coverage_implies_vanishing(capsys, grid_sweep):
         f"coverage implies vanishing on {covered} covered cells, "
         f"{len(violations)} counterexamples",
     )
+
+
+# sha256 of the records below over the covered grid, then the sharpness
+# cells; any change to a verdict, witness, chi value or count moves it.
+SWEEP_DIGEST = "522a26c7cd125948bfff8476060b450d628fb0a15d94e6639f7236915992fbc0"
+
+
+def _verdict_record(v) -> str:
+    chains = ("" if c is None else format_chain(c) for c in (v.witness, v.chi_chain))
+    return repr((v.kind, *chains, v.chi_order, v.failing_pair, v.failing_block,
+                 v.pairs_formed, v.skipped_free, v.skipped_degree, v.skipped_orbit))
+
+
+def test_8_sweep_verdicts_are_pinned(capsys, grid_sweep):
+    cells, _ = grid_sweep
+    verdicts = [vanish for _, _, _, vanish in cells]
+    verdicts += [vanishes_for_all(G(text), n) for text, n in SHARPNESS_CELLS]
+    digest = hashlib.sha256("\n".join(map(_verdict_record, verdicts)).encode()).hexdigest()
+    report(capsys, digest == SWEEP_DIGEST, 8,
+           f"sweep digest {digest[:12]} over {len(verdicts)} verdicts")

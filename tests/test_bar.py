@@ -189,6 +189,10 @@ def test_infinite_groups_rejected():
         bar_homology(G("Z"), 1)
     with pytest.raises(InfiniteGroupError):
         chi_profile("bar", G("Z x Z_2"), 1)
+    with pytest.raises(InfiniteGroupError):
+        bar_chain(G("Z"), 0, {})
+    with pytest.raises(InfiniteGroupError):
+        elements(G("Z x Z_2"))
 
 
 @pytest.mark.parametrize("group, n", [

@@ -1,6 +1,7 @@
 """Homology presentations: closed forms, reduction, and Kunneth checks."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,9 +9,12 @@ import pytest
 from support import SHARPNESS_CELLS, G, PROPERTY_GROUPS, random_chain, random_cycle
 from twisthom import (
     AbelianType,
+    Chain,
     CyclicFactor,
+    DegreeMismatchError,
     GroupSpec,
     InfiniteGroupError,
+    InvalidMonomialError,
     NotACycleError,
     boundary,
     class_order,
@@ -176,15 +180,22 @@ def test_presentation_is_deterministic():
     assert generating_cycles(g, 3) == generating_cycles(g, 3)
 
 
-@pytest.mark.parametrize("group", ["Z_3", "Z_2 x Z_2", "Z_4~", "Z x Z_3 x Z_3"])
+@pytest.mark.parametrize("group", ["Z_3", "Z_2 x Z_2", "Z_4~", "Z x Z_3 x Z_3",
+                                   "Z_4 x Z_6", "Z_12 x Z_18", "Z_6 x Z_10 x Z_15"])
 def test_class_order_agrees(group):
-    # class_order reduces only the touched blocks; reduce builds the full
-    # coordinates.  Both must give the same order.
+    # class_order applies the block rule to the touched blocks; reduce
+    # builds the full coordinates.  Both must give the same order.  The
+    # last three groups have blocks, such as K(4, -6) and K(6, 10, -15),
+    # whose gcd equals none of their coefficients.  Sums and differences of
+    # two generating cycles give cycles whose content differs from the
+    # gcd of any one coefficient with the block's gcd.
     g = G(group)
     rng = random.Random(17)
     for n in (1, 2, 3):
-        for _ in range(8):
-            z = random_cycle(rng, g, n)
+        cycles = [random_cycle(rng, g, n) for _ in range(8)]
+        for a, b in itertools.combinations_with_replacement(generating_cycles(g, n), 2):
+            cycles += [a + b, a - b]
+        for z in cycles:
             assert class_order(z) == reduce_cycle(z).order()
 
 
@@ -288,6 +299,34 @@ def test_product_block_key_rules():
     assert product_block_key(g, (1, 0, 0, 2), (0, 0, 1, 2)) == (1, 0, 1, 4)
     assert product_block_key(g, (1, 0, 1, 0), (1, 0, 0, 0)) is None
     assert product_block_key(g, (0, 0, 1, 0), (0, 0, 1, 0)) == (0, 0, 3, 0)
+
+
+def test_koszul_shapes_are_closed_form():
+    # K(c) = g K(c/g) with c/g primitive, so H_t is (Z_g)^C(m-1, t) when
+    # g > 1, zero when g = 1, and Z only for the empty shape.
+    values = (2, -2, 3, 4, 6, 9, 10, 12, 15, 18)
+    for m in range(4):
+        for coeffs in itertools.product(values, repeat=m):
+            g = math.gcd(*coeffs)
+            for t in range(m + 1):
+                kos = _koszul(coeffs, t)
+                assert kos.g == g
+                assert kos.core.torsion == ((g,) * math.comb(m - 1, t) if g > 1 else ())
+                assert kos.core.free_rank == (m == 0)
+
+
+def test_malformed_chains_are_refused():
+    g = G("Z x Z_3")
+    outside = Chain(g, 6, {(5, 1): 1})
+    short = Chain(g, 7, {(5, 1): 1, (0, 0, 0): 2})
+    wrong_degree = Chain(g, 2, {(1, 3): 1})
+    for chain, error in ((outside, InvalidMonomialError), (short, InvalidMonomialError),
+                         (wrong_degree, DegreeMismatchError)):
+        for check in (class_order, is_boundary, reduce_cycle):
+            with pytest.raises(error):
+                check(chain)
+    with pytest.raises(InvalidMonomialError):
+        reduce_cycle(Chain(g, 3, {(0, 0, 0): 1}))
 
 
 def test_cycle_check_in_an_exact_block():
