@@ -14,12 +14,8 @@ All arithmetic is exact; there is no floating point anywhere.
 """
 
 from .bar import (
-    BarChain,
     CapExceededError,
-    bar_boundary,
-    bar_chain,
     bar_homology,
-    bar_inversion,
     chi_profile,
     shuffle_product,
 )
@@ -49,7 +45,7 @@ from .criterion import (
     theorem_cover,
     vanishes_for_all,
 )
-from .golden import GOLDEN, GoldenExample, GoldenResult, example_ids, run_all
+from .golden import GOLDEN, example_ids, run_all
 from .groups import (
     CyclicFactor,
     GroupSpec,
@@ -63,7 +59,6 @@ from .groups import (
 from .homology import (
     AbelianType,
     HomologyClass,
-    HomologyPresentation,
     InfiniteGroupError,
     NotACycleError,
     class_order,
@@ -78,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianType",
-    "BarChain",
     "CapExceededError",
     "Chain",
     "ChainError",
@@ -87,24 +81,18 @@ __all__ = [
     "DegreeMismatchError",
     "DegreeTooSmallError",
     "GOLDEN",
-    "GoldenExample",
-    "GoldenResult",
     "GroupMismatchError",
     "GroupSpec",
     "GroupSpecError",
     "GroupSyntaxError",
     "HomologyClass",
-    "HomologyPresentation",
     "InfiniteGroupError",
     "InvalidMonomialError",
     "InvalidOrderError",
     "InvalidSignError",
     "NotACycleError",
     "Verdict",
-    "bar_boundary",
-    "bar_chain",
     "bar_homology",
-    "bar_inversion",
     "basis",
     "boundary",
     "chi_chain",

@@ -438,8 +438,10 @@ def chi_profile(source: str, group: GroupSpec, n: int, cap: int = BAR_CAP):
     bar complex, "small" entirely over the small complex.  Both routes
     compute the same natural pairing, so the multisets must agree; that
     agreement is what the oracle comparison checks.  Returned as a sorted
-    tuple of pairs.
+    tuple of pairs.  A negative ``n`` is refused on either route.
     """
+    if n < 0:
+        raise ValueError("homology degree must be nonnegative")
     if source == "bar":
         return _chi_profile_bar(group, n, cap)
     if source == "small":

@@ -129,9 +129,8 @@ def cmd_homology(args) -> tuple[int, dict, list[str]]:
     witness = None
     if args.generators:
         witness = []
-        divisors = h.torsion_divisors
         for i, g in enumerate(h.generators()):
-            order = divisors[i] if i < len(divisors) else 0
+            order = g.order()
             rep = format_chain(h.representative(g))
             witness.append({"order": str(order), "cycle": rep})
             lines.append(f"  generator {i + 1} (order {format_order(order)}): {rep}")

@@ -213,8 +213,6 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     h = homology(group, n)
     h2 = homology(group, 2 * n)
     gens = generating_cycles(group, n)
-    starts = list(h._layout.values()) + [len(gens)]
-    blocks = {key: range(a, b) for key, a, b in zip(h._layout, starts, starts[1:])}
     jgens: dict = {}
     sign = -1 if n % 2 else 1
 
@@ -229,9 +227,9 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
             value = value + sign * inversion_chain(value)
         return None if value.is_zero or h2._order(key, value.terms.items()) == 1 else value
 
-    counts = _orbit_pass(group, n, blocks, unbounded)
+    counts = _orbit_pass(group, n, h._layout, unbounded)
     if counts is None:
-        keys = [key for key, ids in blocks.items() for _ in ids]
+        keys = [key for key, ids in h._layout.items() for _ in ids]
         return _ordered_pass(group, n, gens, keys, unbounded)
     return Verdict(VANISHES, group, n, generators=len(gens), **counts)
 

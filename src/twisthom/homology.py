@@ -11,11 +11,15 @@ block's cycles from the column-only Smith form of its outgoing
 differential, and its generators from the Smith form of the transposed
 incoming differential written in cycle coordinates; it hands out one
 coordinate row and one cycle vector per generator.  A block whose
-coefficients have gcd 1 is exact: its presentation is empty and it drops
-out.  A chain is checked as a cycle on each block's Koszul columns, block
-by block, touching only the blocks its terms lie in.  ``reduce`` reads a
-cycle's coordinates off the coordinate rows; a class's order, and so
-whether it bounds, needs no coordinates.  Presentations are cached per
+coefficients have gcd 1 is exact: its presentation is empty and it holds
+no generators.  A presentation keeps one table of every block it meets,
+exact ones too, each built once, and ``_layout`` maps each block with
+homology to the range of its generators.  A chain is split by block in
+one walk over its monomials, which also validates them, and is checked
+as a cycle on each block's Koszul columns, touching only the blocks its
+terms lie in.  ``reduce`` reads a cycle's coordinates off the coordinate
+rows into its blocks' generator ranges; a class's order, and so whether
+it bounds, needs no coordinates.  Presentations are cached per
 ``(group, n)`` and compare equal when ``(group, n)`` is equal.
 
 The block rule.  Let g = gcd(c) in K(c) (g = 0 when no slot is paired),
@@ -218,16 +222,18 @@ class HomologyPresentation:
     generator's order; within a block every entry is the gcd of the
     block's coefficients, so the list is not a divisor chain.  ``str``
     prints the primary decomposition.
-    ``reduce`` sends a cycle to coordinates; ``representative`` lifts
-    coordinates back to a cycle, and the two are mutually inverse up to
-    boundaries.  Presentations are values: equal and hashable on
-    ``(group, degree)``.
+    Every block the presentation meets is kept once, exact ones too, and
+    ``_layout`` maps each block with homology to the range of its
+    generators.  ``reduce`` sends a cycle to coordinates;
+    ``representative`` lifts coordinates back to a cycle, and the two are
+    mutually inverse up to boundaries.  Presentations are values: equal
+    and hashable on ``(group, degree)``.
     """
 
     def __init__(self, group: GroupSpec, degree: int):
         self.group = group
         self.degree = degree
-        self._blocks: dict = {}  # block key -> (slots, _Koszul), blocks with homology
+        self._blocks: dict = {}  # block key -> (slots, _Koszul), every block met
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HomologyPresentation)
@@ -237,36 +243,34 @@ class HomologyPresentation:
         return hash((self.group, self.degree))
 
     def _block(self, key):
-        """(slots, _Koszul) of the block of ``key``.  Only blocks with
-        homology are kept; one without is rebuilt for each cycle check."""
+        """(slots, _Koszul) of the block of ``key``, built once."""
         block = self._blocks.get(key)
         if block is None:
             slots, coeffs = block_pairing(self.group, key)
-            block = (slots, _koszul(coeffs, self.degree - sum(key)))
-            if block[1].core.generators:
-                self._blocks[key] = block
+            block = self._blocks[key] = (slots, _koszul(coeffs, self.degree - sum(key)))
         return block
 
     @cached_property
     def _layout(self) -> dict:
-        """Block key -> index of its first generator, in generator order."""
+        """Block key -> range of its generators, for each block with
+        homology, in generator order."""
         group, n = self.group, self.degree
-        keys = [k for k in dict.fromkeys(block_key(group, m) for m in basis(group, n))
-                if self._block(k)[1].core.generators]
-        keys.sort(key=lambda k: not self._block(k)[1].core.torsion)
+        keys = dict.fromkeys(block_key(group, m) for m in basis(group, n))
+        cores = [(k, core) for k in keys if (core := self._block(k)[1].core).generators]
+        cores.sort(key=lambda kc: not kc[1].torsion)
         out, start = {}, 0
-        for k in keys:
-            out[k] = start
-            start += len(self._block(k)[1].core.generators)
+        for k, core in cores:
+            out[k] = range(start, start + len(core.generators))
+            start = out[k].stop
         return out
 
     @cached_property
     def torsion_divisors(self) -> tuple[int, ...]:
-        return tuple(d for k in self._layout for d in self._block(k)[1].core.torsion)
+        return tuple(d for k in self._layout for d in self._blocks[k][1].core.torsion)
 
     @cached_property
     def free_rank(self) -> int:
-        return sum(self._block(k)[1].core.free_rank for k in self._layout)
+        return sum(self._blocks[k][1].core.free_rank for k in self._layout)
 
     @property
     def num_generators(self) -> int:
@@ -281,7 +285,7 @@ class HomologyPresentation:
         """One representative cycle per generator, in generator order."""
         out = []
         for key in self._layout:
-            slots, kos = self._block(key)
+            slots, kos = self._blocks[key]
             for vec in kos.core.generators:
                 terms = {}
                 for i, v in vec.items():
@@ -310,21 +314,17 @@ class HomologyPresentation:
         return kos.g // gcd(kos.g, *vec.values())
 
     def _parts(self, chain: Chain):
-        """The chain's terms split by block key, as (key, terms) pairs;
-        the differential keeps every block, so each part is a cycle when
-        the chain is one."""
-        split: dict = {}
-        for mon, coef in chain.terms.items():
-            split.setdefault(block_key(self.group, mon), []).append((mon, coef))
-        return split.items()
-
-    def _check_home(self, chain: Chain) -> None:
-        """Refuse a chain from another group or degree, or with a monomial
-        outside this degree's basis."""
+        """The chain's terms split by block key, as (key, terms) pairs, in
+        one walk that refuses a chain from another group or degree, or with
+        a monomial outside this degree's basis.  The differential keeps
+        every block, so each part is a cycle when the chain is one."""
         if chain.group != self.group or chain.degree != self.degree:
             raise ValueError("chain does not live where this presentation does")
-        for mon in chain.terms:
+        split: dict = {}
+        for mon, coef in chain.terms.items():
             _validate_monomial(self.group, mon, self.degree)
+            split.setdefault(block_key(self.group, mon), []).append((mon, coef))
+        return split.items()
 
     def zero(self) -> HomologyClass:
         return HomologyClass(self, (0,) * self.free_rank, (0,) * len(self.torsion_divisors))
@@ -341,14 +341,14 @@ class HomologyPresentation:
         return [self.generator(i) for i in range(self.num_generators)]
 
     def reduce(self, chain: Chain) -> HomologyClass:
-        self._check_home(chain)
+        parts = self._parts(chain)
         coords = [0] * self.num_generators
-        for key, terms in self._parts(chain):
+        for key, terms in parts:
             kos, vec = self._local(key, terms)
-            if kos.core.generators:
+            span = self._layout.get(key)
+            if span:
                 free, torsion = kos.core.class_coords(vec)
-                start = self._layout[key]
-                coords[start:start + len(kos.core.generators)] = torsion + free
+                coords[span.start:span.stop] = torsion + free
         nt = len(self.torsion_divisors)
         return HomologyClass(self, tuple(coords[nt:]), tuple(coords[:nt]))
 
@@ -397,7 +397,6 @@ def class_order(chain: Chain) -> int:
 
     The lcm of the block rule's orders over the blocks the chain touches."""
     h = homology(chain.group, chain.degree)
-    h._check_home(chain)
     return lcm(*(h._order(key, terms) for key, terms in h._parts(chain)))
 
 

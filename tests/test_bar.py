@@ -161,6 +161,17 @@ def test_chi_profile_rejects_bad_input():
         chi_profile("nope", G("Z_3"), 1)
     with pytest.raises(InfiniteGroupError):
         chi_profile("bar", G("Z_3"), 0)
+    # A negative degree is refused whatever the cached complex holds.
+    for text in ("Z_3", "Z_2~"):
+        g = G(text)
+        for warm in (False, True):
+            bar._COMPLEXES.clear()
+            if warm:
+                bar_homology(g, 3)
+            for source in ("bar", "small"):
+                for n in (-1, -2):
+                    with pytest.raises(ValueError, match="homology degree must be nonnegative"):
+                        chi_profile(source, g, n)
 
 
 def test_caps():

@@ -57,6 +57,11 @@ def test_homology_generators_json(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["witness"] == [{"order": "3", "cycle": "[3]"}]
+    # Torsion generators come first; a free one has order 0.
+    code, out, _ = invoke(capsys, "--format", "json", "homology", "Z x Z_3", "1", "--generators")
+    assert code == EXIT_OK
+    assert json.loads(out)["witness"] == [{"order": "3", "cycle": "[0 1]"},
+                                          {"order": "0", "cycle": "[1 0]"}]
 
 
 def test_chi_nonzero(capsys):

@@ -1,12 +1,14 @@
 """Homology presentations: closed forms, reduction, and Kunneth checks."""
 
+import hashlib
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
-from support import SHARPNESS_CELLS, G, PROPERTY_GROUPS, random_chain, random_cycle
+from support import SHARPNESS_CELLS, G, PROPERTY_GROUPS, grid_groups, random_chain, random_cycle
 from twisthom import (
     AbelianType,
     Chain,
@@ -24,7 +26,14 @@ from twisthom import (
     reduce_cycle,
     zero_chain,
 )
-from twisthom.chains import basis, block_key, block_pairing, monomial_chain, product_block_key
+from twisthom.chains import (
+    basis,
+    block_key,
+    block_pairing,
+    format_chain,
+    monomial_chain,
+    product_block_key,
+)
 from twisthom.homology import (
     _koszul,
     _koszul_columns,
@@ -338,6 +347,40 @@ def test_cycle_check_in_an_exact_block():
         reduce_cycle(parse_chain(g, "[2 1]"))
     assert not is_boundary(parse_chain(g, "[2 1]"))
     assert is_boundary(boundary(parse_chain(g, "[2 2]")))
+
+
+def test_exact_blocks_are_built_once(monkeypatch):
+    # An exact block is kept like any other: checking a chain in it a
+    # second time builds nothing.
+    module = sys.modules["twisthom.homology"]
+    calls = []
+    pairing = module.block_pairing
+
+    def counted(*args):
+        calls.append(args)
+        return pairing(*args)
+
+    monkeypatch.setattr(module, "block_pairing", counted)
+    z = boundary(parse_chain(G("Z_2 x Z_3"), "[2 2]"))
+    assert block_key(z.group, (2, 1)) == block_key(z.group, (1, 2)) == (1, 1)
+    assert is_boundary(z)
+    made = len(calls)
+    assert is_boundary(z)
+    assert len(calls) == made
+
+
+# sha256 of format_chain of every generating cycle over the grid and
+# sharpness groups in degrees 0..6; any change to a cycle or to the
+# generator order moves it.
+CYCLES_DIGEST = "19165a9c708864e12444e5d9e4b71ceda0105171429c306e4bda94e9b182c8ab"
+
+
+def test_generating_cycles_are_pinned():
+    groups = dict.fromkeys(grid_groups() + [G(text) for text, _ in SHARPNESS_CELLS])
+    lines = [f"{g} {n} {format_chain(z)}"
+             for g in groups for n in range(7) for z in generating_cycles(g, n)]
+    assert len(groups) == 245 and len(lines) == 17142
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CYCLES_DIGEST
 
 
 @pytest.mark.parametrize(
