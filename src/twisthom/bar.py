@@ -101,6 +101,8 @@ class BarChain:
         return self + (-other)
 
     def __rmul__(self, k: int) -> "BarChain":
+        if not isinstance(k, int):
+            return NotImplemented
         return self._like({key: k * v for key, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -119,10 +121,18 @@ class BarChain:
 
 
 def bar_chain(group: GroupSpec, degree: int, terms: dict[BarKey, int]) -> BarChain:
+    """A bar chain whose tuples have ``degree`` entries, each a group element:
+    one exponent e per factor, 0 <= e < order.  Anything else raises
+    ``ValueError``."""
+    chain = BarChain(group, degree, dict(terms))  # refuses an infinite group first
+    orders = group.orders
     for key in terms:
         if len(key) != degree:
             raise ValueError("bar tuple length disagrees with the degree")
-    return BarChain(group, degree, dict(terms))
+        if any(len(g) != len(orders) or not all(0 <= e < o for e, o in zip(g, orders))
+               for g in key):
+            raise ValueError("bar tuple entry is not an element of the group")
+    return chain
 
 
 def _key_boundary(group: GroupSpec, orders: tuple[int, ...], key: BarKey) -> dict[BarKey, int]:

@@ -93,6 +93,8 @@ class Chain:
         return (-1) * self
 
     def __rmul__(self, k: int) -> "Chain":
+        if not isinstance(k, int):
+            return NotImplemented
         if k == 0:
             return Chain(self.group, self.degree, {})
         return Chain(self.group, self.degree, {m: k * c for m, c in self.terms.items()})

@@ -112,6 +112,8 @@ class HomologyClass:
         divisors = self.presentation.torsion_divisors
         if len(self.free) != self.presentation.free_rank or len(self.torsion) != len(divisors):
             raise ValueError("coordinate arity disagrees with the presentation")
+        if not all(isinstance(c, int) for c in (*self.free, *self.torsion)):
+            raise TypeError("homology coordinates must be integers")
         fixed = tuple(c % d for c, d in zip(self.torsion, divisors))
         object.__setattr__(self, "torsion", fixed)
 
@@ -150,6 +152,8 @@ class HomologyClass:
         )
 
     def __rmul__(self, k: int) -> "HomologyClass":
+        if not isinstance(k, int):
+            return NotImplemented
         return HomologyClass(
             self.presentation,
             tuple(k * a for a in self.free),

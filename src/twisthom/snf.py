@@ -5,8 +5,9 @@ is ever done in floating point or a fixed-width dtype.  Two layers:
 
 * :func:`smith_normal_form` -- Smith normal form that tracks only the
   column transform V and its inverse, which give the kernel and kernel
-  coordinates.  Pivots are chosen by minimal absolute value to keep
-  intermediate entries small.
+  coordinates.  The matrix is kept once, as one sparse dict per row, and
+  each pivot is the entry of least absolute value to keep intermediate
+  entries small.
 * :func:`quotient_presentation` -- a subquotient lattice ker E / im D,
   presented by one coordinate row and one cycle per generator.  It takes
   the kernel from the Smith form of E, and the row transform of D written
@@ -49,11 +50,26 @@ def smith_normal_form(matrix, ncols: int | None = None) -> SmithNormalForm:
     """Smith normal form of an integer matrix given as a list of rows.
 
     ``ncols`` disambiguates the shape when the matrix has zero rows.
-    Deterministic: each pivot is the remaining entry of minimal absolute
-    value, ties broken by position, and a negative pivot is made positive
-    by negating its column.  The working copy is kept as mirrored sparse
-    row/column dicts so pivot searches cost the number of surviving
-    nonzeros, not the full shape; the transforms are dense.
+    The matrix is kept once, as a working copy of one sparse dict per
+    row; V and Vinv are dense.  The rows not yet used as pivot rows are
+    the live rows.  Each round takes the live entry of least
+    ``(|v|, row, col)`` as the pivot and clears around it:
+
+    1. Its column, by row operations on the live rows in index order.
+       A nonzero remainder is smaller than the pivot and becomes the
+       pivot.
+    2. Its row, by column operations in the order of the pivot row's
+       dict.  The pivot column is zero off the pivot row by then, so
+       ``col j -= q * col pj`` changes only the pivot row's entry in
+       column j, besides V and Vinv.  That is why no column index is
+       kept.  A nonzero remainder again becomes the pivot.
+    3. The divisor chain.  If the pivot does not divide every live
+       entry, the first live row in index order with an entry it does
+       not divide is added to the pivot row, and clearing resumes; the
+       pivot's row then leaves a remainder smaller than the pivot.
+
+    A negative pivot is made positive by negating its column of V and its
+    row of Vinv.
 
     >>> smith_normal_form([[2, 0], [0, 3]]).divisors
     [1, 6]
@@ -73,12 +89,11 @@ def smith_normal_form(matrix, ncols: int | None = None) -> SmithNormalForm:
     rows: list[dict[int, int]] = [
         {j: v for j, v in enumerate(row) if v} for row in matrix
     ]
-    cols: list[dict[int, int]] = [{} for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            cols[j][i] = v
     V = identity_matrix(n)
     Vinv = identity_matrix(n)
+    live = list(range(m))
+    pivot_cols: list[int] = []
+    divisors: list[int] = []
 
     def row_combine(i, t, q):
         # row i -= q * row t
@@ -87,40 +102,14 @@ def smith_normal_form(matrix, ncols: int | None = None) -> SmithNormalForm:
             w = ri.get(j, 0) - q * v
             if w:
                 ri[j] = w
-                cols[j][i] = w
             else:
                 ri.pop(j, None)
-                cols[j].pop(i, None)
 
-    def col_combine(j, t, q):
-        # col j -= q * col t
-        cj = cols[j]
-        for i, v in cols[t].items():
-            w = cj.get(i, 0) - q * v
-            if w:
-                cj[i] = w
-                rows[i][j] = w
-            else:
-                cj.pop(i, None)
-                rows[i].pop(j, None)
-        for row in V:
-            if row[t]:
-                row[j] -= q * row[t]
-        Vt, Vj = Vinv[t], Vinv[j]
-        for k in range(n):
-            if Vj[k]:
-                Vt[k] += q * Vj[k]
-
-    live_rows = set(range(m))
-    live_cols = set(range(n))
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
     while True:
         best = None
-        for i in live_rows:
+        for i in live:
             for j, v in rows[i].items():
-                a = -v if v < 0 else v
-                key = (a, i, j)
+                key = (abs(v), i, j)
                 if best is None or key < best:
                     best = key
         if best is None:
@@ -128,69 +117,55 @@ def smith_normal_form(matrix, ncols: int | None = None) -> SmithNormalForm:
         _, pi, pj = best
         while True:
             p = rows[pi][pj]
-            moved = False
-            for i2 in [i for i in cols[pj] if i != pi]:
-                v = cols[pj].get(i2, 0)
-                if not v:
-                    continue
-                q = v // p
-                if q:
-                    row_combine(i2, pi, q)
-                rem = rows[i2].get(pj, 0)
-                if rem:
-                    # The remainder is strictly smaller; make it the pivot.
-                    pi = i2
-                    moved = True
-                    break
-            if moved:
-                continue
-            for j2 in [j for j in rows[pi] if j != pj]:
-                v = rows[pi].get(j2, 0)
-                if not v:
-                    continue
-                q = v // p
-                if q:
-                    col_combine(j2, pj, q)
-                if rows[pi].get(j2, 0):
-                    pj = j2
-                    moved = True
-                    break
-            if moved:
-                continue
-            # Row and column of the pivot are clear.  Enforce that the
-            # pivot divides every remaining entry (divisor chain); folding
-            # an offending row into the pivot row strictly shrinks the gcd.
-            p = rows[pi][pj]
-            offender = -1
-            if p != 1 and p != -1:
-                for i2 in sorted(live_rows):
-                    if i2 == pi:
-                        continue
-                    for v in rows[i2].values():
-                        if v % p:
-                            offender = i2
-                            break
-                    if offender >= 0:
+            # 1. The pivot column, live rows in index order.
+            remainder = None
+            for i in live:
+                if i != pi and pj in rows[i]:
+                    row_combine(i, pi, rows[i][pj] // p)
+                    if pj in rows[i]:
+                        remainder = i
                         break
-            if offender < 0:
-                break
-            row_combine(pi, offender, -1)  # row pi += row offender
-        if rows[pi][pj] < 0:
-            # Row and column of the pivot are clear: negate its column.
-            rows[pi][pj] = cols[pj][pi] = -rows[pi][pj]
-            for row in V:
-                row[pj] = -row[pj]
+            if remainder is not None:
+                pi = remainder
+                continue
+            # 2. The pivot row.  Column pj is clear, so each column
+            # operation changes row[j] alone in the working copy.
+            row = rows[pi]
+            for j in [j for j in row if j != pj]:
+                q = row[j] // p
+                row[j] -= q * p
+                for vrow in V:
+                    if vrow[pj]:
+                        vrow[j] -= q * vrow[pj]
+                Vt, Vj = Vinv[pj], Vinv[j]
+                for k in range(n):
+                    if Vj[k]:
+                        Vt[k] += q * Vj[k]
+                if row[j]:
+                    pj = j
+                    break
+                del row[j]
+            else:
+                # 3. Row and column are clear: enforce the divisor chain.
+                offender = next((i for i in live if i != pi
+                                 and any(v % p for v in rows[i].values())), None)
+                if offender is None:
+                    break
+                row_combine(pi, offender, -1)  # row pi += row offender
+        if p < 0:
+            p = -p
+            for vrow in V:
+                vrow[pj] = -vrow[pj]
             Vinv[pj] = [-v for v in Vinv[pj]]
-        pivot_rows.append(pi)
+        live.remove(pi)
         pivot_cols.append(pj)
-        live_rows.discard(pi)
-        live_cols.discard(pj)
+        divisors.append(p)
 
-    col_order = pivot_cols + sorted(live_cols)
+    col_order = pivot_cols + [j for j in range(n) if j not in pivot_cols]
     return SmithNormalForm(
         V=[[row[j] for j in col_order] for row in V],
         Vinv=[Vinv[j] for j in col_order],
-        divisors=[rows[i][j] for i, j in zip(pivot_rows, pivot_cols)],
+        divisors=divisors,
     )
 
 

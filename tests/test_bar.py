@@ -41,6 +41,19 @@ def test_omega_values():
 def test_bar_chain_length_validation():
     with pytest.raises(ValueError):
         bar_chain(G("Z_3"), 2, {((1,),): 1})
+    # Each entry is a group element: one exponent e per factor, 0 <= e < order.
+    for g, terms in [("Z_3", {((5,),): 1}), ("Z_3", {((1, 2),): 1}), ("Z_3", {((-1,),): 1}),
+                     ("Z_3", {((),): 1}), ("Z_2 x Z_3", {((1, 3),): 1}),
+                     ("Z_2 x Z_3", {((1,),): 1})]:
+        with pytest.raises(ValueError):
+            bar_chain(G(g), 1, terms)
+
+
+def test_bar_chain_scalars_must_be_ints():
+    a = bar_chain(G("Z_3"), 1, {((1,),): 1})
+    with pytest.raises(TypeError):
+        0.5 * a
+    assert (2 * a).terms == {((1,),): 2}
 
 
 def test_bar_boundary_examples():

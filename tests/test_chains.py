@@ -121,6 +121,15 @@ def test_chain_arithmetic():
     assert is_cycle(a)
 
 
+def test_scalars_must_be_ints():
+    # A float scalar used to give float coefficients, which reduce_cycle
+    # then turned into a made-up class such as (0.5 mod 3).
+    a = parse_chain(G("Z_3"), "[1]")
+    with pytest.raises(TypeError):
+        0.5 * a
+    assert 2 * a == a + a
+
+
 def test_mismatch_errors():
     with pytest.raises(GroupMismatchError):
         parse_chain(G("Z_3"), "[1]") + parse_chain(G("Z_2"), "[1]")

@@ -35,6 +35,7 @@ from twisthom.chains import (
     product_block_key,
 )
 from twisthom.homology import (
+    HomologyClass,
     _koszul,
     _koszul_columns,
     generating_cycles,
@@ -79,6 +80,15 @@ def test_reduce_scales_with_coefficients():
     assert five == base + base
     assert five.order() == 3
     assert reduce_cycle(parse_chain(g, "5*[1 1 1 3]")) == five
+
+
+def test_homology_classes_refuse_non_integers():
+    h = homology(G("Z_3"), 1)
+    with pytest.raises(TypeError):
+        HomologyClass(h, (), (0.5,))
+    with pytest.raises(TypeError):
+        0.5 * h.generator(0)
+    assert 2 * h.generator(0) == h.generator(0) + h.generator(0)
 
 
 def test_infinite_order_class():

@@ -113,6 +113,17 @@ def test_ragged_and_shape_errors():
         smith_normal_form([[1, 2]], ncols=3)
 
 
+def test_pivot_column_is_cleared_in_row_order():
+    # V depends on the order in which the pivot column is cleared: live
+    # rows in index order, as the docstring states.
+    matrix = [[-7, 0, 6], [8, 4, -2], [4, -9, -9], [8, 3, -5]]
+    res = smith_normal_form(matrix)
+    assert res.divisors == [1, 1, 50]
+    assert res.V == [[0, 1, 2], [0, -128, -257], [-1, 3172, 6369]]
+    assert res.Vinv == [[-28, -25, -1], [257, 2, 0], [-128, -1, 0]]
+    assert_smith(matrix, res)
+
+
 def test_determinism():
     matrix = [[4, -6, 2], [6, 6, 6], [0, 8, 4]]
     first = smith_normal_form(matrix)
@@ -198,6 +209,8 @@ def test_generator_coords_are_unit_vectors():
         _koszul_presentation((2, 4, 6), 1),
         _koszul_presentation((4, -4, 8, 2), 2),
         _koszul_presentation((3, 3, 3), 2),
+        _koszul_presentation((2, -2, 2, 2, -2), 2),
+        _koszul_presentation((3,) * 6, 3),
     ):
         nt = len(pres.torsion)
         count = nt + pres.free_rank
@@ -206,6 +219,18 @@ def test_generator_coords_are_unit_vectors():
             unit = [int(i == j) for j in range(count)]
             assert pres.class_coords(gen) == (tuple(unit[nt:]), tuple(unit[:nt]))
             assert pres.vector_from_coords(unit[nt:], unit[:nt]) == gen
+
+
+def test_koszul_differentials_are_in_smith_form():
+    # Koszul differentials of up to 6 slots (15 x 20 and 20 x 15 for
+    # (3,) * 6) reach fill-in that the 4 x 4 random matrices rarely do.
+    for coeffs, t in [((2, 4, 6), 1), ((4, -4, 8, 2), 2), ((3, 3, 3), 2),
+                      ((2, -2, 2, 2, -2), 2), ((3,) * 6, 3)]:
+        for s in (t, t + 1):
+            nrows = comb(len(coeffs), s - 1)
+            columns = _koszul_columns(coeffs, s)
+            dense = [[col.get(i, 0) for col in columns] for i in range(nrows)]
+            assert_smith(dense, smith_normal_form(dense, ncols=len(columns)), ncols=len(columns))
 
 
 def test_quotient_presentation_rejects_escaping_boundary():
