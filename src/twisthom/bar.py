@@ -67,7 +67,14 @@ def _inv(orders: tuple[int, ...], x: Element) -> Element:
 
 @dataclass(frozen=True)
 class BarChain:
-    """Integer combination of bar tuples of one degree, over a finite group."""
+    """Integer combination of bar tuples of one degree, over a finite group.
+
+    Each tuple has ``degree`` entries, each a group element: one exponent
+    e per factor, 0 <= e < order.  Anything else raises ``ValueError``.
+    The constructor is the one place that drops zero coefficients:
+    producers may leave the coefficients that cancel in ``terms``, and
+    every bar chain holds only nonzero ones.
+    """
 
     group: GroupSpec
     degree: int
@@ -76,6 +83,13 @@ class BarChain:
     def __post_init__(self):
         if not self.group.is_finite:
             raise InfiniteGroupError("bar computations need a finite group")
+        orders = self.group.orders
+        for key in self.terms:
+            if len(key) != self.degree:
+                raise ValueError("bar tuple length disagrees with the degree")
+            if any(len(g) != len(orders) or not all(0 <= e < o for e, o in zip(g, orders))
+                   for g in key):
+                raise ValueError("bar tuple entry is not an element of the group")
         cleaned = {k: v for k, v in self.terms.items() if v}
         object.__setattr__(self, "terms", cleaned)
 
@@ -121,42 +135,23 @@ class BarChain:
 
 
 def bar_chain(group: GroupSpec, degree: int, terms: dict[BarKey, int]) -> BarChain:
-    """A bar chain whose tuples have ``degree`` entries, each a group element:
-    one exponent e per factor, 0 <= e < order.  Anything else raises
-    ``ValueError``."""
-    chain = BarChain(group, degree, dict(terms))  # refuses an infinite group first
-    orders = group.orders
-    for key in terms:
-        if len(key) != degree:
-            raise ValueError("bar tuple length disagrees with the degree")
-        if any(len(g) != len(orders) or not all(0 <= e < o for e, o in zip(g, orders))
-               for g in key):
-            raise ValueError("bar tuple entry is not an element of the group")
-    return chain
+    """A bar chain on a copy of ``terms``, checked as :class:`BarChain` checks."""
+    return BarChain(group, degree, dict(terms))
 
 
 def _key_boundary(group: GroupSpec, orders: tuple[int, ...], key: BarKey) -> dict[BarKey, int]:
     """Differential of one bar tuple, tensored with the twisted integers:
     the leading face picks up omega of the dropped entry."""
     k = len(key)
-    out: dict[BarKey, int] = {}
-
-    def put(face: BarKey, coeff: int):
-        w = out.get(face, 0) + coeff
-        if w:
-            out[face] = w
-        else:
-            out.pop(face, None)
-
     if k == 0:
-        return out
-    put(key[1:], omega_of(group, key[0]))
+        return {}
+    out = {key[1:]: omega_of(group, key[0])}
     sign = 1
     for i in range(k - 1):
         sign = -sign
         merged = key[:i] + (_mul(orders, key[i], key[i + 1]),) + key[i + 2:]
-        put(merged, sign)
-    put(key[:-1], -sign)
+        out[merged] = out.get(merged, 0) + sign
+    out[key[:-1]] = out.get(key[:-1], 0) - sign
     return out
 
 
@@ -166,11 +161,7 @@ def bar_boundary(chain: BarChain) -> BarChain:
     total: dict[BarKey, int] = {}
     for key, coeff in chain.terms.items():
         for face, v in _key_boundary(chain.group, orders, key).items():
-            w = total.get(face, 0) + coeff * v
-            if w:
-                total[face] = w
-            else:
-                total.pop(face, None)
+            total[face] = total.get(face, 0) + coeff * v
     return BarChain(chain.group, chain.degree - 1, total)
 
 
@@ -208,11 +199,7 @@ def shuffle_product(a: BarChain, b: BarChain) -> BarChain:
                         merged[pos] = kb[bi]
                         bi += 1
                 key = tuple(merged)
-                w = total.get(key, 0) + sign * coeff
-                if w:
-                    total[key] = w
-                else:
-                    total.pop(key, None)
+                total[key] = total.get(key, 0) + sign * coeff
     return BarChain(group, p + q, total)
 
 
@@ -325,8 +312,9 @@ class _Complex:
         rows: dict[int, set[int]] = {}
         for j, key in enumerate(itertools.product(self.nontrivial, repeat=k)):
             col = {}
+            # Faces that cancel come back with coefficient 0.
             for face, v in _key_boundary(group, orders, key).items():
-                if e not in face:
+                if v and e not in face:
                     i = index[face]
                     if i in prev:
                         col[i] = v
@@ -376,16 +364,13 @@ class _Complex:
         # A cycle's coordinate on a column d_n cancelled is zero in the
         # changed basis (its image has that unit's row alone), so only
         # the pivots of d_{n+1} move it; the survivors are what is left.
+        # Coordinates that cancel stay as zeros, which add nothing.
         for r, _, u, _, colvals in self.log[n + 1]:
             vr = vec.pop(r, 0)
             if vr:
                 lam = vr // u
                 for rk, v in colvals.items():
-                    w = vec.get(rk, 0) - lam * v
-                    if w:
-                        vec[rk] = w
-                    else:
-                        vec.pop(rk, None)
+                    vec[rk] = vec.get(rk, 0) - lam * v
         slot = {key: i for i, key in enumerate(self.survivors[n])}
         return {slot[k]: v for k, v in vec.items() if k in slot}
 
@@ -401,7 +386,7 @@ class _Complex:
         """A bar cycle of degree n in the class with these coordinates."""
         vec_idx = self.pres[n].vector_from_coords(free, torsion)
         survivors = self.survivors[n]
-        vec = {survivors[i]: v for i, v in vec_idx.items() if v}
+        vec = {survivors[i]: v for i, v in vec_idx.items()}
         for _, c, u, rowvals, _ in reversed(self.log[n]):
             s = 0
             for c2, val in rowvals.items():

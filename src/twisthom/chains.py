@@ -60,14 +60,19 @@ class GroupMismatchError(ChainError):
 
 @dataclass
 class Chain:
-    """A finitely supported integer combination of monomials of one degree."""
+    """A finitely supported integer combination of monomials of one degree.
+
+    The constructor is the one place that drops zero coefficients:
+    producers may leave the coefficients that cancel in ``terms``, and
+    every chain holds only nonzero ones.
+    """
 
     group: GroupSpec
     degree: int
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # The product and boundary loops already build zero-free dicts.
+        # Most producers leave no zero, so rebuild only when one is present.
         if not all(self.terms.values()):
             self.terms = {m: c for m, c in self.terms.items() if c}
 
@@ -79,11 +84,7 @@ class Chain:
         _check_pair(self, other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + c
         return Chain(self.group, self.degree, out)
 
     def __sub__(self, other: "Chain") -> "Chain":
@@ -95,8 +96,6 @@ class Chain:
     def __rmul__(self, k: int) -> "Chain":
         if not isinstance(k, int):
             return NotImplemented
-        if k == 0:
-            return Chain(self.group, self.degree, {})
         return Chain(self.group, self.degree, {m: k * c for m, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -121,7 +120,7 @@ def zero_chain(group: GroupSpec, degree: int) -> Chain:
 def monomial_chain(group: GroupSpec, monomial, coefficient: int = 1) -> Chain:
     mon = tuple(monomial)
     _validate_monomial(group, mon)
-    return Chain(group, sum(mon), {mon: coefficient} if coefficient else {})
+    return Chain(group, sum(mon), {mon: coefficient})
 
 
 def _validate_monomial(group: GroupSpec, mon: Monomial, degree: int | None = None) -> None:
@@ -197,11 +196,7 @@ def boundary(chain: Chain) -> Chain:
                 if hit is not None:
                     j, mult = hit
                     target = mon[:k] + (j,) + mon[k + 1:]
-                    v = out.get(target, 0) + (coef * mult if parity == 0 else -coef * mult)
-                    if v:
-                        out[target] = v
-                    else:
-                        out.pop(target, None)
+                    out[target] = out.get(target, 0) + (-coef if parity else coef) * mult
                 parity ^= i & 1
     return Chain(group, chain.degree - 1, out)
 
@@ -299,11 +294,7 @@ def parse_chain(group: GroupSpec, text: str) -> Chain:
         if degree is None:
             degree = sum(mon)
         _validate_monomial(group, mon, degree)
-        v = terms.get(mon, 0) + coef
-        if v:
-            terms[mon] = v
-        else:
-            terms.pop(mon, None)
+        terms[mon] = terms.get(mon, 0) + coef
         pos = m.end(0)
         first = False
     tail = text[pos:].strip()

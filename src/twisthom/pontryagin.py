@@ -69,11 +69,7 @@ def wedge(x: Chain, y: Chain) -> Chain:
                 if parity:
                     coef = -coef
                 key = tuple(mon)
-                v = out.get(key, 0) + coef
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + coef
     return Chain(group, x.degree + y.degree, out)
 
 
@@ -94,10 +90,8 @@ def inversion_chain(chain: Chain) -> Chain:
     orders, signs = chain.group.orders, chain.group.signs
     out: dict = {}
     for mon, coef in chain.terms.items():
-        m = coef
         for k, i in enumerate(mon):
             if i:
-                m *= _atomic_inversion(orders[k], signs[k], i)
-        if m:
-            out[mon] = m
+                coef *= _atomic_inversion(orders[k], signs[k], i)
+        out[mon] = coef
     return Chain(chain.group, chain.degree, out)

@@ -1,13 +1,15 @@
 """Bar resolution oracle: boundary, shuffles, inversion, and profiles."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from support import ORACLE_GROUPS, G
+from support import ORACLE_GROUPS, PROPERTY_GROUPS, G, random_chain
 from twisthom import CapExceededError, InfiniteGroupError, bar, homology_type
 from twisthom.bar import (
+    BarChain,
     bar_boundary,
     bar_chain,
     bar_homology,
@@ -18,6 +20,8 @@ from twisthom.bar import (
     shuffle_product,
 )
 from twisthom.bar import _Complex
+from twisthom.chains import boundary, monomial_chain, parse_chain
+from twisthom.pontryagin import wedge
 
 
 def test_elements_enumeration():
@@ -39,14 +43,16 @@ def test_omega_values():
 
 
 def test_bar_chain_length_validation():
-    with pytest.raises(ValueError):
-        bar_chain(G("Z_3"), 2, {((1,),): 1})
-    # Each entry is a group element: one exponent e per factor, 0 <= e < order.
-    for g, terms in [("Z_3", {((5,),): 1}), ("Z_3", {((1, 2),): 1}), ("Z_3", {((-1,),): 1}),
-                     ("Z_3", {((),): 1}), ("Z_2 x Z_3", {((1, 3),): 1}),
-                     ("Z_2 x Z_3", {((1,),): 1})]:
+    # bar_chain and the BarChain constructor refuse the same inputs.
+    for make in (bar_chain, BarChain):
         with pytest.raises(ValueError):
-            bar_chain(G(g), 1, terms)
+            make(G("Z_3"), 2, {((1,),): 1})
+        # Each entry is a group element: one exponent e per factor, 0 <= e < order.
+        for g, terms in [("Z_3", {((5,),): 1}), ("Z_3", {((1, 2),): 1}), ("Z_3", {((-1,),): 1}),
+                         ("Z_3", {((),): 1}), ("Z_2 x Z_3", {((1, 3),): 1}),
+                         ("Z_2 x Z_3", {((1,),): 1})]:
+            with pytest.raises(ValueError):
+                make(G(g), 1, terms)
 
 
 def test_bar_chain_scalars_must_be_ints():
@@ -299,3 +305,62 @@ def test_lifted_classes_and_their_chi_values_are_cycles(group):
             chi = shuffle_product(z, bar_inversion(z))
             assert all(identity in key for key in bar_boundary(chi).terms), (n, residues)
         n += 1
+
+
+def test_constructors_own_the_zero_free_invariant():
+    # Producers leave cancelled coefficients to the Chain and BarChain
+    # constructors; no chain, and no stored entry of the reduced bar
+    # complex, keeps a zero.
+    def zero_free(chain, expected):
+        assert chain.terms == expected and 0 not in chain.terms.values()
+
+    g = G("Z^2 x Z_3")
+    a = parse_chain(g, "[1 0 0] + 2*[0 0 1]")
+    zero_free(a + parse_chain(g, "-[1 0 0] + [0 1 0]"), {(0, 1, 0): 1, (0, 0, 1): 2})
+    zero_free(a + (-a), {})
+    zero_free(0 * a, {})
+    zero_free(monomial_chain(g, (0, 0, 1), 0), {})
+    zero_free(parse_chain(G("Z_3"), "[1] - [1]"), {})
+    rng = random.Random(71)
+    for group in PROPERTY_GROUPS:
+        for n in (2, 3, 4):
+            zero_free(boundary(boundary(random_chain(rng, G(group), n))), {})
+    x = parse_chain(G("Z^2"), "[1 0] + [0 1]")  # raw terms of x ^ x: {(1, 1): 0}
+    zero_free(wedge(x, x), {})
+    for group in ("Z_3", "Z_2~ x Z_2"):
+        gb = G(group)
+        for _ in range(10):
+            zero_free(bar_boundary(bar_boundary(_random_bar_chain(rng, gb, 3))), {})
+            x = _random_bar_chain(rng, gb, 1)
+            zero_free(shuffle_product(x, x), {})
+            zero_free(x - x, {})
+    for group in ("Z_4~", "Z_2 x Z_2"):
+        cx = _Complex(G(group))
+        while cx.top < 5:
+            cx._extend()
+        assert all(0 not in col.values() for col in cx.cols.values()), group
+        for log in cx.log:
+            for *_, rowvals, colvals in log:
+                assert 0 not in rowvals.values() and 0 not in colvals.values(), group
+
+
+# sha256 of one record per lifted class over the oracle groups, in every
+# degree whose chi-profile fits the cap of 60000: the lift, and the class
+# coordinates of its chi value.  Any change to lift or push moves it.
+LIFTS_DIGEST = "2cadbcdc5a68252d2a29ed1a0efa64a91d9798e7c60c89bb77c8217a035b8419"
+
+
+def test_lifted_classes_are_pinned():
+    lines = []
+    for group in ORACLE_GROUPS:
+        g = G(group)
+        n = 0
+        while g.group_order ** (2 * n + 1) <= 60000:
+            cx = bar._complex(g, (2 * n, 2 * n + 1), 60000)
+            for residues in itertools.product(*(range(d) for d in cx.pres[n].torsion)):
+                z = cx.lift(n, (), residues)
+                chi = cx.class_coords(shuffle_product(z, bar_inversion(z)))
+                lines.append(f"{g} {n} {residues} {z} {chi}")
+            n += 1
+    assert len(lines) == 77
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LIFTS_DIGEST
