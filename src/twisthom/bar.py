@@ -17,6 +17,14 @@ H_{k-1} into the reduced basis.  H_{k-1} is presented as soon as d_k is
 reduced.  The complex is built on the normalized subquotient (tuples
 with no identity entries), which has the same homology on a basis of
 (|G|-1)^k elements instead of |G|^k.
+
+That basis is coded: with b = |G|-1, the nontrivial elements get the
+codes 0..b-1 in the order of ``elements``, and a k-tuple is the base-b
+number whose digits are its codes, which is its position in the
+enumeration of nontrivial k-tuples.  Each column of d_k is computed
+from the digits of its position, through one Cayley table of codes and
+one list of omega values per group; tuples appear only where bar
+chains enter (``push``) and leave (``lift``).
 """
 
 from __future__ import annotations
@@ -280,14 +288,17 @@ class _Complex:
 
     def __init__(self, group: GroupSpec):
         self.group = group
-        self.orders = group.orders
-        self.identity: Element = (0,) * len(self.orders)
-        self.nontrivial = [e for e in elements(group) if e != self.identity]
+        identity = (0,) * len(group.orders)
+        self.nontrivial = [e for e in elements(group) if e != identity]
+        # The coded basis of the module docstring: a k-tuple's position in
+        # itertools.product(self.nontrivial, repeat=k) has its first entry's
+        # code as the most significant digit.  mul is the Cayley table on
+        # codes, -1 where a product is the identity.
+        self.code = {x: i for i, x in enumerate(self.nontrivial)}
+        self.mul = [[self.code.get(_mul(group.orders, x, y), -1) for y in self.nontrivial]
+                    for x in self.nontrivial]
+        self.omega = [omega_of(group, x) for x in self.nontrivial]
         self.top = 0
-        # Basis elements are positions in the enumeration of nontrivial
-        # k-tuples, which spares the large degrees the memory and hashing
-        # of tuple keys; tables[k] maps each k-tuple to its position.
-        self.tables: list[dict[BarKey, int]] = []
         # log[k]: the pivots of d_k as (row, column, unit, rest of its
         # row, rest of its column).  Lift at degree k replays the row
         # halves of log[k], push the column halves of log[k+1].
@@ -297,30 +308,78 @@ class _Complex:
         # The columns of d_top left by its reduction, keyed by row.
         self.cols: dict[int, dict[int, int]] = {0: {}}
 
+    def encode(self, key: BarKey) -> int | None:
+        """Position of a bar tuple; None if it contains the identity."""
+        b, code = len(self.nontrivial), self.code
+        j = 0
+        for x in key:
+            c = code.get(x)
+            if c is None:
+                return None
+            j = j * b + c
+        return j
+
+    def decode(self, k: int, j: int) -> BarKey:
+        """The nontrivial k-tuple at position j."""
+        b, key = len(self.nontrivial), []
+        for _ in range(k):
+            j, c = divmod(j, b)
+            key.append(self.nontrivial[c])
+        return tuple(reversed(key))
+
+    def _columns(self, k: int, prev) -> tuple[dict[int, dict[int, int]], dict[int, set[int]]]:
+        """Columns of d_k on the rows in ``prev``, and the reverse index
+        from each row to the columns holding it.
+
+        Column j's faces come from its digits: the leading face j % b^(k-1)
+        with omega of the first entry, face i merging entries i and i+1
+        with sign (-1)^(i+1), and the trailing face j // b with sign
+        (-1)^k.  They are inserted in this order, the order of
+        _key_boundary; faces that cancel or merge to the identity are
+        left out.
+        """
+        b, mul, omega = len(self.nontrivial), self.mul, self.omega
+        lead = b ** (k - 1)
+        # alive[f] is prev's own key for row f, None where f is not in
+        # prev: every entry on a row shares one int object.
+        alive = [None] * lead
+        for f in prev:
+            alive[f] = f
+        # (i, sign, b^(k-2-i), b^(k-i)) for each merged face i.
+        merges = [(i, -1 if i % 2 == 0 else 1, b ** (k - 2 - i), b ** (k - i))
+                  for i in range(k - 1)]
+        last = -1 if k % 2 else 1
+        cols: dict[int, dict[int, int]] = {}
+        rows: dict[int, set[int]] = {}
+        for j, digits in enumerate(itertools.product(range(b), repeat=k)):
+            col = {}
+            f = alive[j % lead]
+            if f is not None:
+                col[f] = omega[digits[0]]
+            for i, sign, low, high in merges:
+                m = mul[digits[i]][digits[i + 1]]
+                if m >= 0:
+                    f = alive[(j // high * b + m) * low + j % low]
+                    if f is not None:
+                        col[f] = col.get(f, 0) + sign
+            f = alive[j // b]
+            if f is not None:
+                col[f] = col.get(f, 0) + last
+            if 0 in col.values():
+                col = {f: v for f, v in col.items() if v}
+            cols[j] = col
+            for f in col:
+                rows.setdefault(f, set()).add(j)
+        return cols, rows
+
     def _extend(self):
         """Build and reduce d_k for k = top + 1, then present H_{k-1}."""
         k = self.top + 1
-        group, orders, e = self.group, self.orders, self.identity
         prev = self.cols
-        index = {key: i for i, key in enumerate(itertools.product(self.nontrivial, repeat=k - 1))}
-        self.tables.append(index)
         # The rows that d_{k-1} cancelled as columns are zero in the changed
         # basis (d_{k-1} d_k = 0) and the other entries do not move, so
-        # d_k is built on the rows that survived as columns of d_{k-1},
-        # with a reverse index from each row to the columns holding it.
-        cols: dict[int, dict[int, int]] = {}
-        rows: dict[int, set[int]] = {}
-        for j, key in enumerate(itertools.product(self.nontrivial, repeat=k)):
-            col = {}
-            # Faces that cancel come back with coefficient 0.
-            for face, v in _key_boundary(group, orders, key).items():
-                if v and e not in face:
-                    i = index[face]
-                    if i in prev:
-                        col[i] = v
-            cols[j] = col
-            for i in col:
-                rows.setdefault(i, set()).add(j)
+        # d_k is built on the rows that survived as columns of d_{k-1}.
+        cols, rows = self._columns(k, prev)
         log = list(_cancel_units(cols, rows))
         # d_{k-1} on the other basis elements is unchanged; each
         # cancelled row is now a boundary, so its column disappears.
@@ -358,9 +417,11 @@ class _Complex:
         normalized complex is a chain map, so the class is unmoved.
         """
         n = chain.degree
-        e = self.identity
-        index = self.tables[n]
-        vec = {index[k]: v for k, v in chain.terms.items() if e not in k}
+        vec = {}
+        for key, v in chain.terms.items():
+            j = self.encode(key)
+            if j is not None:
+                vec[j] = v
         # A cycle's coordinate on a column d_n cancelled is zero in the
         # changed basis (its image has that unit's row alone), so only
         # the pivots of d_{n+1} move it; the survivors are what is left.
@@ -395,8 +456,7 @@ class _Complex:
                     s += val * w
             if s:
                 vec[c] = -(s // u)
-        keys = list(self.tables[n])
-        return BarChain(self.group, n, {keys[i]: v for i, v in vec.items()})
+        return BarChain(self.group, n, {self.decode(n, i): v for i, v in vec.items()})
 
 
 # Reduced complexes by group, oldest first.  Past _MAX_COMPLEXES the
@@ -420,6 +480,8 @@ def _complex(group: GroupSpec, degrees, cap: int) -> _Complex:
 
 def bar_homology(group: GroupSpec, n: int, cap: int = BAR_CAP) -> AbelianType:
     """Isomorphism type of H_n computed from the bar complex alone."""
+    if not group.is_finite:
+        raise InfiniteGroupError("bar computations need a finite group")
     if n < 0:
         return AbelianType.zero()
     pres = _complex(group, (n, n + 1), cap).pres[n]

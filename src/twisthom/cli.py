@@ -246,6 +246,8 @@ def cmd_oracle_compare(args) -> tuple[int, dict, list[str]]:
     if not group.is_finite:
         raise UsageError("oracle comparison needs a finite group")
     _check_degree(args.through_degree, args.max_degree)
+    if args.cap < 1:
+        raise UsageError("--cap must be at least 1")
     rows = []
     lines = []
     all_ok = True

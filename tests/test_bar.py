@@ -19,7 +19,7 @@ from twisthom.bar import (
     omega_of,
     shuffle_product,
 )
-from twisthom.bar import _Complex
+from twisthom.bar import _Complex, _key_boundary
 from twisthom.chains import boundary, monomial_chain, parse_chain
 from twisthom.pontryagin import wedge
 
@@ -218,11 +218,46 @@ def test_infinite_groups_rejected():
     with pytest.raises(InfiniteGroupError):
         bar_homology(G("Z"), 1)
     with pytest.raises(InfiniteGroupError):
+        bar_homology(G("Z"), -1)
+    with pytest.raises(InfiniteGroupError):
         chi_profile("bar", G("Z x Z_2"), 1)
     with pytest.raises(InfiniteGroupError):
         bar_chain(G("Z"), 0, {})
     with pytest.raises(InfiniteGroupError):
         elements(G("Z x Z_2"))
+
+
+@pytest.mark.parametrize("group", ["Z_3 x Z_3", "Z_2~ x Z_2", "Z_2 x Z_4~", "Z_6"])
+def test_coded_columns_match_key_boundary(group):
+    # Column j of d_k, built from the base-(|G|-1) digits of j, holds the
+    # faces _key_boundary gives the j-th nontrivial k-tuple, in its order
+    # and with its coefficients, less the faces that are degenerate, that
+    # cancel, or that lie off the rows kept.
+    g = G(group)
+    cx = _Complex(g)
+    identity = tuple(0 for _ in g.factors)
+    b = len(cx.nontrivial)
+    assert cx.decode(0, 0) == () and cx.encode(()) == 0
+    for k in range(1, 5):
+        keys = list(itertools.product(cx.nontrivial, repeat=k))
+        for j, key in enumerate(keys):
+            assert cx.encode(key) == j and cx.decode(k, j) == key
+            assert cx.encode(key[:k - 1] + (identity,)) is None
+        for kept in (range(b ** (k - 1)), range(0, b ** (k - 1), 3)):
+            # Fresh int objects, so sharing them is a property of _columns.
+            prev = {int(str(f)): {} for f in kept}
+            cols, rows = cx._columns(k, prev)
+            assert list(cols) == list(range(len(keys)))
+            holders = {}
+            for j, key in enumerate(keys):
+                faces = [(cx.encode(face), v) for face, v in _key_boundary(g, g.orders, key).items()
+                         if v and identity not in face]
+                assert list(cols[j].items()) == [(f, v) for f, v in faces if f in prev]
+                for f in cols[j]:
+                    holders.setdefault(f, set()).add(j)
+            assert rows == holders
+            # Every entry on a row is keyed on prev's own int object.
+            assert {id(f) for col in cols.values() for f in col} <= {id(f) for f in prev}
 
 
 @pytest.mark.parametrize("group, n", [

@@ -256,6 +256,14 @@ def test_oracle_compare_cap_exit(capsys):
     assert "cap is 100" in err
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_oracle_compare_cap_below_one_is_usage(capsys, cap):
+    code, out, err = invoke(capsys, "oracle-compare", "Z_3", "2", "--cap", cap)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--cap must be at least 1" in err
+
+
 def test_integer_fields_are_decimal_strings(capsys):
     for argv in (
         ("--format", "json", "homology", "Z", "1"),
