@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .groups import GroupSpec
 from .homology import AbelianType, InfiniteGroupError, coords_order
-from .snf import quotient_presentation
+from .snf import _addmul, _dot, quotient_presentation
 
 
 class CapExceededError(RuntimeError):
@@ -425,13 +425,10 @@ class _Complex:
         # A cycle's coordinate on a column d_n cancelled is zero in the
         # changed basis (its image has that unit's row alone), so only
         # the pivots of d_{n+1} move it; the survivors are what is left.
-        # Coordinates that cancel stay as zeros, which add nothing.
         for r, _, u, _, colvals in self.log[n + 1]:
             vr = vec.pop(r, 0)
             if vr:
-                lam = vr // u
-                for rk, v in colvals.items():
-                    vec[rk] = vec.get(rk, 0) - lam * v
+                _addmul(vec, colvals, -(vr // u))
         slot = {key: i for i, key in enumerate(self.survivors[n])}
         return {slot[k]: v for k, v in vec.items() if k in slot}
 
@@ -449,11 +446,7 @@ class _Complex:
         survivors = self.survivors[n]
         vec = {survivors[i]: v for i, v in vec_idx.items()}
         for _, c, u, rowvals, _ in reversed(self.log[n]):
-            s = 0
-            for c2, val in rowvals.items():
-                w = vec.get(c2)
-                if w:
-                    s += val * w
+            s = _dot(rowvals, vec)
             if s:
                 vec[c] = -(s // u)
         return BarChain(self.group, n, {self.decode(n, i): v for i, v in vec.items()})

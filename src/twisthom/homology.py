@@ -68,7 +68,7 @@ from math import comb, gcd, lcm
 
 from .chains import Chain, ChainError, _validate_monomial, basis, block_key, block_pairing
 from .groups import GroupSpec
-from .snf import QuotientPresentation, quotient_presentation
+from .snf import QuotientPresentation, _combination, quotient_presentation
 
 
 class NotACycleError(ChainError):
@@ -194,11 +194,7 @@ class _Koszul:
 
     def is_cycle(self, vec: dict[int, int]) -> bool:
         """Whether the block's differential kills a local vector."""
-        out: dict = {}
-        for i, v in vec.items():
-            for r, c in self.columns[i].items():
-                out[r] = out.get(r, 0) + v * c
-        return not any(out.values())
+        return not _combination(self.columns, vec)
 
 
 @lru_cache(maxsize=4096)
@@ -334,6 +330,8 @@ class HomologyPresentation:
         return HomologyClass(self, (0,) * self.free_rank, (0,) * len(self.torsion_divisors))
 
     def generator(self, which: int) -> HomologyClass:
+        if not isinstance(which, int):
+            raise TypeError("generator index must be an integer")
         nt = len(self.torsion_divisors)
         if not 0 <= which < self.num_generators:
             raise IndexError("no such generator")
@@ -359,11 +357,8 @@ class HomologyPresentation:
     def representative(self, cls: HomologyClass) -> Chain:
         if cls.presentation != self:
             raise ValueError("class belongs to a different presentation")
-        terms: dict = {}
-        for c, z in zip(cls.torsion + cls.free, self._cycles):
-            if c:
-                for mon, v in z.terms.items():
-                    terms[mon] = terms.get(mon, 0) + c * v
+        terms = _combination([z.terms for z in self._cycles],
+                             dict(enumerate(cls.torsion + cls.free)))
         return Chain(self.group, self.degree, terms)
 
     def classes(self):
@@ -493,15 +488,19 @@ class AbelianType:
         return " + ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def homology_type(group: GroupSpec, n: int) -> AbelianType:
     """Isomorphism type of H_n from closed forms on one factor plus Kunneth.
 
     This path never touches the matrix pipeline: single factors use the
     known homology of the four periodic complexes and products recurse
     through ``kunneth_predict``, so it serves as an independent check on
-    the presentations.
+    the presentations.  A degree that is not an int raises ``TypeError``
+    (the cache is typed, so 1.0 is refused even after 1 is cached); a
+    negative degree gives zero.
     """
+    if not isinstance(n, int):
+        raise TypeError("homology degree must be an integer")
     if n < 0:
         return AbelianType.zero()
     k = len(group)

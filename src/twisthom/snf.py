@@ -1,20 +1,23 @@
 """Exact integer linear algebra.
 
 Everything here works over Z with arbitrary-precision Python ints; nothing
-is ever done in floating point or a fixed-width dtype.  Two layers:
+is ever done in floating point or a fixed-width dtype.  Vectors are sparse
+dicts from index to nonzero value, and one kernel does all the arithmetic
+on them: :func:`_addmul` (target += q * source, dropping entries that
+cancel), :func:`_dot` and :func:`_combination`.  Two layers rest on it:
 
-* :func:`smith_normal_form` -- Smith normal form that tracks only the
-  column transform V and its inverse, which give the kernel and kernel
-  coordinates.  The matrix is kept once, as one sparse dict per row, and
-  each pivot is the entry of least absolute value to keep intermediate
-  entries small.
+* :func:`smith_normal_form` -- Smith normal form of a matrix given as
+  sparse rows, tracking only the column transform V, as sparse columns,
+  and its inverse, as sparse rows; they give the kernel and kernel
+  coordinates.  Each pivot is the entry of least absolute value to keep
+  intermediate entries small.
 * :func:`quotient_presentation` -- a subquotient lattice ker E / im D,
-  presented by one coordinate row and one cycle per generator.  It takes
-  the kernel from the Smith form of E, and the row transform of D written
-  in kernel coordinates from the Smith form of that matrix's transpose.
-  This is the one piece of plumbing shared by the small-resolution
-  homology engine, which calls it once per Koszul block shape, and the
-  bar-resolution oracle.
+  presented by one sparse coordinate row and one sparse cycle per
+  generator.  It takes the kernel from the Smith form of E, and the row
+  transform of D written in kernel coordinates from the Smith form of
+  that matrix's transpose.  This is the one piece of plumbing shared by
+  the small-resolution homology engine, which calls it once per Koszul
+  block shape, and the bar-resolution oracle.
 """
 
 from __future__ import annotations
@@ -22,23 +25,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _addmul(target: dict[int, int], source: dict[int, int], q: int) -> None:
+    """target += q * source, in place; an entry that cancels is removed,
+    and a new entry goes after the existing ones (a row's dict order is
+    the order in which ``smith_normal_form`` clears it)."""
+    for j, v in source.items():
+        w = target.get(j, 0) + q * v
+        if w:
+            target[j] = w
+        else:
+            target.pop(j, None)
+
+
+def _dot(a: dict[int, int], b: dict[int, int]) -> int:
+    """Dot product of two sparse vectors, walking ``a``."""
+    return sum(v * b.get(j, 0) for j, v in a.items())
+
+
+def _combination(vectors, weights: dict[int, int]) -> dict[int, int]:
+    """The sum of weights[i] * vectors[i], zero-free."""
+    out: dict[int, int] = {}
+    for i, w in weights.items():
+        if w:
+            _addmul(out, vectors[i], w)
+    return out
 
 
 @dataclass
 class SmithNormalForm:
     """The column half of U @ M @ V == D, with U, V unimodular and D diagonal.
 
-    Only ``V`` and its inverse ``Vinv`` are kept: the first ``rank`` columns
-    of M @ V span the image and the rest are zero, so the last columns of
-    ``V`` are a kernel basis and the last rows of ``Vinv`` give kernel
-    coordinates.  ``divisors`` are D's positive diagonal entries, a divisor
-    chain d1 | d2 | ... | dr.
+    Only ``V``, as a list of sparse columns, and its inverse ``Vinv``, as
+    a list of sparse rows, are kept: the first ``rank`` columns of M @ V
+    span the image and the rest are zero, so the last columns of ``V``
+    are a kernel basis and the last rows of ``Vinv`` give kernel
+    coordinates.  ``divisors`` are D's positive diagonal entries, a
+    divisor chain d1 | d2 | ... | dr.
     """
 
-    V: list[list[int]]
-    Vinv: list[list[int]]
+    V: list[dict[int, int]]
+    Vinv: list[dict[int, int]]
     divisors: list[int]
 
     @property
@@ -46,14 +72,18 @@ class SmithNormalForm:
         return len(self.divisors)
 
 
-def smith_normal_form(matrix, ncols: int | None = None) -> SmithNormalForm:
-    """Smith normal form of an integer matrix given as a list of rows.
+def smith_normal_form(matrix: list[dict[int, int]], ncols: int) -> SmithNormalForm:
+    """Smith normal form of an integer matrix with ``ncols`` columns, given
+    as one sparse row per matrix row; an entry whose column is outside
+    0..ncols-1 raises ``ValueError``.
 
-    ``ncols`` disambiguates the shape when the matrix has zero rows.
-    The matrix is kept once, as a working copy of one sparse dict per
-    row; V and Vinv are dense.  The rows not yet used as pivot rows are
-    the live rows.  Each round takes the live entry of least
-    ``(|v|, row, col)`` as the pivot and clears around it:
+    The matrix is kept once, as a working copy of its rows.  V starts as
+    the identity, one sparse column per column, and Vinv as the identity,
+    one sparse row per column.  Every row operation, column operation on
+    V, row operation on Vinv and divisor-chain fold is one ``_addmul``.
+    The rows not yet used as pivot rows are the live rows.  Each round
+    takes the live entry of least ``(|v|, row, col)`` as the pivot and
+    clears around it:
 
     1. Its column, by row operations on the live rows in index order.
        A nonzero remainder is smaller than the pivot and becomes the
@@ -71,39 +101,20 @@ def smith_normal_form(matrix, ncols: int | None = None) -> SmithNormalForm:
     A negative pivot is made positive by negating its column of V and its
     row of Vinv.
 
-    >>> smith_normal_form([[2, 0], [0, 3]]).divisors
+    >>> smith_normal_form([{0: 2}, {1: 3}], 2).divisors
     [1, 6]
-    >>> res = smith_normal_form([[2, 4]])
-    >>> res.divisors, [row[res.rank] for row in res.V]
-    ([2], [-2, 1])
+    >>> res = smith_normal_form([{0: 2, 1: 4}], 2)
+    >>> res.divisors, res.V[res.rank]
+    ([2], {1: 1, 0: -2})
     """
-    m = len(matrix)
-    if m:
-        n = len(matrix[0])
-        if any(len(row) != n for row in matrix):
-            raise ValueError("ragged matrix")
-        if ncols is not None and ncols != n:
-            raise ValueError("ncols disagrees with row length")
-    else:
-        n = 0 if ncols is None else ncols
-    rows: list[dict[int, int]] = [
-        {j: v for j, v in enumerate(row) if v} for row in matrix
-    ]
-    V = identity_matrix(n)
-    Vinv = identity_matrix(n)
-    live = list(range(m))
+    rows = [{j: v for j, v in row.items() if v} for row in matrix]
+    if any(not 0 <= j < ncols for row in rows for j in row):
+        raise ValueError("matrix entry outside columns 0..ncols-1")
+    V = [{j: 1} for j in range(ncols)]
+    Vinv = [{j: 1} for j in range(ncols)]
+    live = list(range(len(rows)))
     pivot_cols: list[int] = []
     divisors: list[int] = []
-
-    def row_combine(i, t, q):
-        # row i -= q * row t
-        ri = rows[i]
-        for j, v in rows[t].items():
-            w = ri.get(j, 0) - q * v
-            if w:
-                ri[j] = w
-            else:
-                ri.pop(j, None)
 
     while True:
         best = None
@@ -121,7 +132,7 @@ def smith_normal_form(matrix, ncols: int | None = None) -> SmithNormalForm:
             remainder = None
             for i in live:
                 if i != pi and pj in rows[i]:
-                    row_combine(i, pi, rows[i][pj] // p)
+                    _addmul(rows[i], rows[pi], -(rows[i][pj] // p))
                     if pj in rows[i]:
                         remainder = i
                         break
@@ -134,13 +145,8 @@ def smith_normal_form(matrix, ncols: int | None = None) -> SmithNormalForm:
             for j in [j for j in row if j != pj]:
                 q = row[j] // p
                 row[j] -= q * p
-                for vrow in V:
-                    if vrow[pj]:
-                        vrow[j] -= q * vrow[pj]
-                Vt, Vj = Vinv[pj], Vinv[j]
-                for k in range(n):
-                    if Vj[k]:
-                        Vt[k] += q * Vj[k]
+                _addmul(V[j], V[pj], -q)
+                _addmul(Vinv[pj], Vinv[j], q)
                 if row[j]:
                     pj = j
                     break
@@ -151,22 +157,18 @@ def smith_normal_form(matrix, ncols: int | None = None) -> SmithNormalForm:
                                  and any(v % p for v in rows[i].values())), None)
                 if offender is None:
                     break
-                row_combine(pi, offender, -1)  # row pi += row offender
+                _addmul(rows[pi], rows[offender], 1)
         if p < 0:
             p = -p
-            for vrow in V:
-                vrow[pj] = -vrow[pj]
-            Vinv[pj] = [-v for v in Vinv[pj]]
+            V[pj] = {i: -v for i, v in V[pj].items()}
+            Vinv[pj] = {j: -v for j, v in Vinv[pj].items()}
         live.remove(pi)
         pivot_cols.append(pj)
         divisors.append(p)
 
-    col_order = pivot_cols + [j for j in range(n) if j not in pivot_cols]
-    return SmithNormalForm(
-        V=[[row[j] for j in col_order] for row in V],
-        Vinv=[Vinv[j] for j in col_order],
-        divisors=divisors,
-    )
+    order = pivot_cols + [j for j in range(ncols) if j not in pivot_cols]
+    return SmithNormalForm(V=[V[j] for j in order], Vinv=[Vinv[j] for j in order],
+                           divisors=divisors)
 
 
 @dataclass
@@ -174,32 +176,27 @@ class QuotientPresentation:
     """Reduction data for H = ker E / im D inside Z^ncols, one entry per
     generator, torsion generators first.
 
-    ``coord_rows[i]`` is a dense length-``ncols`` row whose dot product
-    with a cycle is the cycle's i-th homology coordinate (taken mod
-    ``torsion[i]`` for a torsion generator); ``generators[i]`` is a sparse
-    cycle whose class is the i-th generator.
+    ``coord_rows[i]`` is a sparse row whose dot product with a cycle is
+    the cycle's i-th homology coordinate (taken mod ``torsion[i]`` for a
+    torsion generator); ``generators[i]`` is a sparse cycle whose class
+    is the i-th generator.
     """
 
     torsion: tuple[int, ...]
     free_rank: int
-    coord_rows: tuple[list[int], ...]
+    coord_rows: tuple[dict[int, int], ...]
     generators: tuple[dict[int, int], ...]
 
     def class_coords(self, vector: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(free, torsion) homology coordinates of a cycle; the caller
         guarantees it is one."""
-        u = [sum(v * row[idx] for idx, v in vector.items()) for row in self.coord_rows]
+        u = [_dot(vector, row) for row in self.coord_rows]
         nt = len(self.torsion)
         return tuple(u[nt:]), tuple(c % d for c, d in zip(u, self.torsion))
 
     def vector_from_coords(self, free, torsion) -> dict[int, int]:
         """A representative cycle with the given homology coordinates."""
-        vec: dict[int, int] = {}
-        for c, gen in zip((*torsion, *free), self.generators):
-            if c:
-                for idx, v in gen.items():
-                    vec[idx] = vec.get(idx, 0) + c * v
-        return {idx: v for idx, v in vec.items() if v}
+        return _combination(self.generators, dict(enumerate((*torsion, *free))))
 
 
 def quotient_presentation(e_columns: list[dict[int, int]], nrows_e: int,
@@ -210,48 +207,37 @@ def quotient_presentation(e_columns: list[dict[int, int]], nrows_e: int,
     The last k columns of E's V are a kernel basis, and the last k rows of
     its Vinv give kernel coordinates.  X, D written in those coordinates,
     is brought to Smith form by a row transform ux; the Smith form of X's
-    transpose, whose rows are D's columns, supplies it as ux = V'^T.  Each
-    generator, at a position p with a divisor above 1 or past the rank,
-    keeps row p of ux @ coords and column p of kernel @ ux^-1.
+    transpose, whose sparse rows are D's columns dotted with the
+    coordinate rows, supplies it as ux = V'^T.  Each generator, at a
+    position p with a divisor above 1 or past the rank, keeps row p of
+    ux @ coords, the combination of the coordinate rows weighted by
+    column p of V', and column p of kernel @ ux^-1, the combination of
+    the kernel columns weighted by row p of V'^-1.
 
     im D must lie inside ker E (the caller's boundary-squared guarantee);
     this is checked via the part of the coordinate solve that must vanish,
     and a violation raises ``ValueError``.
     """
     ncols = len(e_columns)
-    dense = [[0] * ncols for _ in range(nrows_e)]
+    e_rows: list[dict[int, int]] = [{} for _ in range(nrows_e)]
     for j, col in enumerate(e_columns):
         for i, v in col.items():
-            dense[i][j] = v
-    res = smith_normal_form(dense, ncols=ncols)
+            e_rows[i][j] = v
+    res = smith_normal_form(e_rows, ncols)
     r = res.rank
     k = ncols - r
-    coords = res.Vinv[r:]
-    for col in d_columns:
-        for row in res.Vinv[:r]:
-            if sum(row[idx] * v for idx, v in col.items()):
-                raise ValueError("boundary column escapes the kernel")
-    x_t = [[sum(v * coords[i][idx] for idx, v in col.items()) for i in range(k)]
+    coords, kernel = res.Vinv[r:], res.V[r:]
+    if any(not 0 <= i < ncols for col in d_columns for i in col):
+        raise ValueError("boundary column entry outside E's columns")
+    if any(_dot(col, row) for col in d_columns for row in res.Vinv[:r]):
+        raise ValueError("boundary column escapes the kernel")
+    x_t = [{i: w for i, row in enumerate(coords) if (w := _dot(col, row))}
            for col in d_columns]
-    xres = smith_normal_form(x_t, ncols=k)
+    xres = smith_normal_form(x_t, k)
     keep = [p for p, d in enumerate(xres.divisors) if d > 1] + list(range(xres.rank, k))
-    kernel = [[row[r + i] for row in res.V] for i in range(k)]
-
-    def combine(vectors, weights):
-        out = [0] * ncols
-        for w, vec in zip(weights, vectors):
-            if w:
-                for idx, x in enumerate(vec):
-                    if x:
-                        out[idx] += w * x
-        return out
-
-    coord_rows = tuple(combine(coords, [row[p] for row in xres.V]) for p in keep)
-    generators = tuple({idx: v for idx, v in enumerate(combine(kernel, xres.Vinv[p])) if v}
-                       for p in keep)
     return QuotientPresentation(
         torsion=tuple(d for d in xres.divisors if d > 1),
         free_rank=k - xres.rank,
-        coord_rows=coord_rows,
-        generators=generators,
+        coord_rows=tuple(_combination(coords, xres.V[p]) for p in keep),
+        generators=tuple(_combination(kernel, xres.Vinv[p]) for p in keep),
     )

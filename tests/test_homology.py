@@ -91,6 +91,34 @@ def test_homology_classes_refuse_non_integers():
     assert 2 * h.generator(0) == h.generator(0) + h.generator(0)
 
 
+def test_generator_refuses_a_non_integer_index():
+    # generator(0.5) used to return the zero class and generator(1.0)
+    # generator 1.
+    h = homology(G("Z_2 x Z_2"), 1)
+    for which in (0.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            h.generator(which)
+    assert h.generator(True) == h.generator(1)
+    with pytest.raises(IndexError):
+        h.generator(h.num_generators)
+
+
+def test_homology_type_refuses_a_non_integer_degree():
+    # homology_type(Z_2, 1.5) used to answer 0 by the Kunneth route, where
+    # reading homology(Z_2, 1.5) raises TypeError.  The cache is typed, so
+    # 1.0 is refused even once degree 1 is cached.
+    for text in ("Z_2", "Z_3 x Z_4~"):
+        g = G(text)
+        assert homology_type(g, 1) == homology(g, 1).abelian_type()
+        for n in (1.5, 1.0, -0.5):
+            with pytest.raises(TypeError):
+                homology_type(g, n)
+        with pytest.raises(TypeError):
+            homology(g, 1.5).abelian_type()
+        assert homology_type(g, -1) == AbelianType.zero()
+        assert homology_type(g, True) == homology_type(g, 1)
+
+
 def test_infinite_order_class():
     g = G("Z x Z")
     c = parse_chain(g, "[0 1]")

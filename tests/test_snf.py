@@ -12,13 +12,28 @@ from twisthom.homology import _koszul_columns
 from twisthom.snf import quotient_presentation, smith_normal_form
 
 
+def snf(matrix, ncols=None):
+    """smith_normal_form of a dense matrix, handed over as sparse rows."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    return smith_normal_form(rows, len(matrix[0]) if matrix else ncols)
+
+
+def densify(res):
+    """V (sparse columns) and Vinv (sparse rows) as dense square matrices."""
+    n = len(res.V)
+    return ([[col.get(i, 0) for col in res.V] for i in range(n)],
+            [[row.get(j, 0) for j in range(n)] for row in res.Vinv])
+
+
 def assert_smith(matrix, res, ncols=None):
     """V is unimodular with inverse Vinv, the columns of matrix @ V past
     the rank vanish, and the divisors form a positive divisor chain."""
     n = len(matrix[0]) if matrix else (ncols or 0)
-    assert mat_mul(res.V, res.Vinv) == identity(n)
-    assert mat_mul(res.Vinv, res.V) == identity(n)
-    for row in mat_mul(matrix, res.V):
+    V, Vinv = densify(res)
+    assert len(V) == n
+    assert mat_mul(V, Vinv) == identity(n)
+    assert mat_mul(Vinv, V) == identity(n)
+    for row in mat_mul(matrix, V):
         assert not any(row[res.rank:])
     divisors = res.divisors
     assert all(d > 0 for d in divisors)
@@ -50,84 +65,96 @@ def determinantal_ratios(matrix):
 
 
 def test_diagonal_example():
-    res = smith_normal_form([[2, 0], [0, 3]])
+    res = snf([[2, 0], [0, 3]])
     assert res.divisors == [1, 6]
     assert_smith([[2, 0], [0, 3]], res)
 
 
 def test_single_entry():
-    res = smith_normal_form([[3]])
+    res = snf([[3]])
     assert res.divisors == [3]
     assert res.rank == 1
 
 
 def test_zero_matrix():
     matrix = [[0, 0, 0], [0, 0, 0]]
-    res = smith_normal_form(matrix)
+    res = snf(matrix)
     assert res.rank == 0
     assert res.divisors == []
     assert_smith(matrix, res)
 
 
 def test_no_rows_needs_ncols():
-    res = smith_normal_form([], ncols=3)
+    res = smith_normal_form([], 3)
     assert res.rank == 0
     assert res.divisors == []
-    assert res.V == identity(3) and res.Vinv == identity(3)
+    assert res.V == [{0: 1}, {1: 1}, {2: 1}] and res.Vinv == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_known_three_by_three():
     matrix = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    res = smith_normal_form(matrix)
+    res = snf(matrix)
     assert res.divisors == [2, 6, 12]
     assert_smith(matrix, res)
 
 
 def test_column_transform_inverse():
     matrix = [[1, 2, 3], [4, 5, 6]]
-    res = smith_normal_form(matrix)
-    assert mat_mul(res.V, res.Vinv) == identity(3)
-    assert mat_mul(res.Vinv, res.V) == identity(3)
+    res = snf(matrix)
+    V, Vinv = densify(res)
+    assert mat_mul(V, Vinv) == identity(3)
+    assert mat_mul(Vinv, V) == identity(3)
     assert_smith(matrix, res)
 
 
 def test_columns_past_rank_vanish():
     # Rank 1: the last two columns of V span the kernel.
     matrix = [[1, 2, 3], [2, 4, 6]]
-    res = smith_normal_form(matrix)
+    res = snf(matrix)
     assert res.rank == 1
-    assert [row[1:] for row in mat_mul(matrix, res.V)] == [[0, 0], [0, 0]]
+    assert [row[1:] for row in mat_mul(matrix, densify(res)[0])] == [[0, 0], [0, 0]]
     assert_smith(matrix, res)
 
 
 def test_negative_pivot_is_made_positive():
-    res = smith_normal_form([[-3]])
+    res = smith_normal_form([{0: -3}], 1)
     assert res.divisors == [3]
-    assert res.V == [[-1]] and res.Vinv == [[-1]]
+    assert res.V == [{0: -1}] and res.Vinv == [{0: -1}]
 
 
 def test_ragged_and_shape_errors():
-    with pytest.raises(ValueError):
-        smith_normal_form([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        smith_normal_form([[1, 2]], ncols=3)
+    # A sparse row cannot be ragged; the shape check that is left refuses
+    # an entry outside the ncols columns, before any work.
+    for rows, ncols in [([{0: 1, 2: 3}], 2), ([{0: 1}, {-1: 2}], 2), ([{0: 1}], 0),
+                        ([{}, {3: 1}], 3)]:
+        with pytest.raises(ValueError, match="outside"):
+            smith_normal_form(rows, ncols)
+    # Stored zeros are not entries: they are neither refused nor pivots.
+    res = smith_normal_form([{0: 0, 1: 2}, {5: 0}], 2)
+    assert res.divisors == [2]
+    # quotient_presentation refuses a boundary column entry outside E's
+    # columns in the same way.
+    with pytest.raises(ValueError, match="outside"):
+        quotient_presentation([{}, {}], 1, [{2: 1}])
 
 
 def test_pivot_column_is_cleared_in_row_order():
     # V depends on the order in which the pivot column is cleared: live
     # rows in index order, as the docstring states.
+    # V and Vinv are the dense [[0, 1, 2], [0, -128, -257], [-1, 3172, 6369]]
+    # and [[-28, -25, -1], [257, 2, 0], [-128, -1, 0]], by columns and rows.
     matrix = [[-7, 0, 6], [8, 4, -2], [4, -9, -9], [8, 3, -5]]
-    res = smith_normal_form(matrix)
+    res = snf(matrix)
     assert res.divisors == [1, 1, 50]
-    assert res.V == [[0, 1, 2], [0, -128, -257], [-1, 3172, 6369]]
-    assert res.Vinv == [[-28, -25, -1], [257, 2, 0], [-128, -1, 0]]
+    assert res.V == [{2: -1}, {0: 1, 1: -128, 2: 3172}, {0: 2, 1: -257, 2: 6369}]
+    assert res.Vinv == [{0: -28, 1: -25, 2: -1}, {0: 257, 1: 2}, {0: -128, 1: -1}]
     assert_smith(matrix, res)
 
 
 def test_determinism():
     matrix = [[4, -6, 2], [6, 6, 6], [0, 8, 4]]
-    first = smith_normal_form(matrix)
-    second = smith_normal_form(matrix)
+    first = snf(matrix)
+    second = snf(matrix)
     assert first.V == second.V
     assert first.Vinv == second.Vinv
     assert first.divisors == second.divisors
@@ -147,13 +174,13 @@ small_matrices = st.integers(1, 4).flatmap(
 @settings(max_examples=150)
 @given(small_matrices)
 def test_smith_property(matrix):
-    assert_smith(matrix, smith_normal_form(matrix))
+    assert_smith(matrix, snf(matrix))
 
 
 @settings(max_examples=100)
 @given(small_matrices)
 def test_divisors_are_determinantal_ratios(matrix):
-    assert smith_normal_form(matrix).divisors == determinantal_ratios(matrix)
+    assert snf(matrix).divisors == determinantal_ratios(matrix)
 
 
 def test_quotient_presentation_free_and_torsion():
@@ -230,7 +257,7 @@ def test_koszul_differentials_are_in_smith_form():
             nrows = comb(len(coeffs), s - 1)
             columns = _koszul_columns(coeffs, s)
             dense = [[col.get(i, 0) for col in columns] for i in range(nrows)]
-            assert_smith(dense, smith_normal_form(dense, ncols=len(columns)), ncols=len(columns))
+            assert_smith(dense, snf(dense, ncols=len(columns)), ncols=len(columns))
 
 
 def test_quotient_presentation_rejects_escaping_boundary():
