@@ -1,10 +1,14 @@
 """Brute-force twisted homology over the unnormalized bar complex.
 
 This is the oracle side of the engine: for a finite group it computes
-H_n, the shuffle product, and the inversion map directly on bar tuples,
-sharing nothing with the small-complex pipeline except the final exact
-linear algebra.  Basis sizes grow like |G|^k, so every entry point takes
-a cap and refuses to materialize anything larger.
+H_n, the shuffle product, and the inversion map directly on bar tuples.
+It shares two pieces of plumbing with the small-complex pipeline: the
+chain container arithmetic (``BarChain`` and ``Chain`` rest on one base
+in :mod:`twisthom.chains`) and the exact linear algebra of
+:mod:`twisthom.snf`.  It shares none of the mathematics: the bar
+differential, the shuffle product, the inversion and the reduction here
+are independent of the small complex.  Basis sizes grow like |G|^k, so
+every entry point takes a cap and refuses to materialize anything larger.
 
 The workhorse is one reduced complex per group, extended one
 differential at a time, lowest degree first.  Each d_k is built once
@@ -32,8 +36,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .chains import _Combination
+from .criterion import chi_chain
 from .groups import GroupSpec
-from .homology import AbelianType, InfiniteGroupError, coords_order
+from .homology import AbelianType, InfiniteGroupError, class_order, coords_order, homology
 from .snf import _addmul, _dot, quotient_presentation
 
 
@@ -73,15 +79,16 @@ def _inv(orders: tuple[int, ...], x: Element) -> Element:
     return tuple((-a) % o for a, o in zip(x, orders))
 
 
-@dataclass(frozen=True)
-class BarChain:
+@dataclass(frozen=True, eq=False)
+class BarChain(_Combination):
     """Integer combination of bar tuples of one degree, over a finite group.
 
     Each tuple has ``degree`` entries, each a group element: one exponent
     e per factor, 0 <= e < order.  Anything else raises ``ValueError``.
-    The constructor is the one place that drops zero coefficients:
-    producers may leave the coefficients that cancel in ``terms``, and
-    every bar chain holds only nonzero ones.
+    The arithmetic and the zero-free invariant come from the base
+    :class:`~twisthom.chains._Combination`, shared with ``Chain``: the
+    constructor checks the keys, then the base drops zero coefficients,
+    so every bar chain holds only nonzero ones.
     """
 
     group: GroupSpec
@@ -98,38 +105,7 @@ class BarChain:
             if any(len(g) != len(orders) or not all(0 <= e < o for e, o in zip(g, orders))
                    for g in key):
                 raise ValueError("bar tuple entry is not an element of the group")
-        cleaned = {k: v for k, v in self.terms.items() if v}
-        object.__setattr__(self, "terms", cleaned)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _like(self, terms) -> "BarChain":
-        return BarChain(self.group, self.degree, terms)
-
-    def __add__(self, other: "BarChain") -> "BarChain":
-        if self.group != other.group or self.degree != other.degree:
-            raise ValueError("bar chains live in different places")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, 0) + v
-        return self._like(terms)
-
-    def __neg__(self) -> "BarChain":
-        return self._like({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "BarChain") -> "BarChain":
-        return self + (-other)
-
-    def __rmul__(self, k: int) -> "BarChain":
-        if not isinstance(k, int):
-            return NotImplemented
-        return self._like({key: k * v for key, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BarChain) and self.group == other.group
-                and self.degree == other.degree and self.terms == other.terms)
+        super().__post_init__()
 
     def __str__(self):
         if not self.terms:
@@ -140,11 +116,6 @@ class BarChain:
             body = "|".join(",".join(str(e) for e in g) for g in key) or "-"
             bits.append(f"{v}*[{body}]")
         return " + ".join(bits)
-
-
-def bar_chain(group: GroupSpec, degree: int, terms: dict[BarKey, int]) -> BarChain:
-    """A bar chain on a copy of ``terms``, checked as :class:`BarChain` checks."""
-    return BarChain(group, degree, dict(terms))
 
 
 def _key_boundary(group: GroupSpec, orders: tuple[int, ...], key: BarKey) -> dict[BarKey, int]:
@@ -168,8 +139,7 @@ def bar_boundary(chain: BarChain) -> BarChain:
     orders = chain.group.orders
     total: dict[BarKey, int] = {}
     for key, coeff in chain.terms.items():
-        for face, v in _key_boundary(chain.group, orders, key).items():
-            total[face] = total.get(face, 0) + coeff * v
+        _addmul(total, _key_boundary(chain.group, orders, key), coeff)
     return BarChain(chain.group, chain.degree - 1, total)
 
 
@@ -515,9 +485,6 @@ def _chi_profile_bar(group: GroupSpec, n: int, cap: int):
 
 
 def _chi_profile_small(group: GroupSpec, n: int):
-    from .criterion import chi_chain
-    from .homology import class_order, homology
-
     h = homology(group, n)
     profile = []
     for c in h.classes():

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .groups import GroupSpec
+from .snf import _addmul
 
 Monomial = tuple
 
@@ -58,59 +59,74 @@ class GroupMismatchError(ChainError):
     """Operands live over different groups."""
 
 
-@dataclass
-class Chain:
+class _Combination:
+    """Arithmetic shared by :class:`Chain` and the bar oracle's ``BarChain``:
+    finitely supported integer combinations of basis keys in one degree
+    over one group, held as ``group``, ``degree`` and a ``terms`` dict.
+
+    This base owns the zero-free invariant: ``__post_init__`` is the one
+    place that drops zero coefficients, so producers may leave the
+    coefficients that cancel in ``terms``, and every value holds only
+    nonzero ones.  ``+`` and ``-`` go through the sparse kernel of
+    :mod:`twisthom.snf`.  Values compare by group, degree and terms and
+    do not hash; operands of different types neither combine nor compare
+    equal.
+    """
+
+    def __post_init__(self):
+        # Most producers leave no zero, so rebuild only when one is present.
+        if not all(self.terms.values()):
+            object.__setattr__(self, "terms", {m: c for m, c in self.terms.items() if c})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _combine(self, other, q: int):
+        """self + q * other, or NotImplemented for an operand of another type."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.group != other.group:
+            raise GroupMismatchError("chains over different groups")
+        if self.degree != other.degree:
+            raise DegreeMismatchError(f"degree {self.degree} vs {other.degree}")
+        out = dict(self.terms)
+        _addmul(out, other.terms, q)
+        return type(self)(self.group, self.degree, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __rmul__(self, k: int):
+        if not isinstance(k, int):
+            return NotImplemented
+        return type(self)(self.group, self.degree, {m: k * c for m, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.group == other.group
+                and self.degree == other.degree and self.terms == other.terms)
+
+
+@dataclass(eq=False)
+class Chain(_Combination):
     """A finitely supported integer combination of monomials of one degree.
 
-    The constructor is the one place that drops zero coefficients:
-    producers may leave the coefficients that cancel in ``terms``, and
-    every chain holds only nonzero ones.
+    Its arithmetic and the zero-free invariant come from the base
+    :class:`_Combination`: every chain holds only nonzero coefficients.
     """
 
     group: GroupSpec
     degree: int
     terms: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        # Most producers leave no zero, so rebuild only when one is present.
-        if not all(self.terms.values()):
-            self.terms = {m: c for m, c in self.terms.items() if c}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Chain") -> "Chain":
-        _check_pair(self, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Chain(self.group, self.degree, out)
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-1) * other
-
-    def __neg__(self) -> "Chain":
-        return (-1) * self
-
-    def __rmul__(self, k: int) -> "Chain":
-        if not isinstance(k, int):
-            return NotImplemented
-        return Chain(self.group, self.degree, {m: k * c for m, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Chain) and self.group == other.group
-                and self.degree == other.degree and self.terms == other.terms)
-
     def __str__(self) -> str:
         return format_chain(self)
-
-
-def _check_pair(a: Chain, b: Chain) -> None:
-    if a.group != b.group:
-        raise GroupMismatchError("chains over different groups")
-    if a.degree != b.degree:
-        raise DegreeMismatchError(f"degree {a.degree} vs {b.degree}")
 
 
 def zero_chain(group: GroupSpec, degree: int) -> Chain:

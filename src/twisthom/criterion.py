@@ -356,6 +356,8 @@ def theorem_cover(group: GroupSpec, n: int) -> Verdict:
     vanishing?  No homology is computed; the shapes are matched on the
     factor multiset and the degree conditions on n alone.
     """
+    if not isinstance(n, int):
+        raise TypeError("homology degree must be an integer")
     if n < 2:
         raise DegreeTooSmallError("coverage check needs degree >= 2")
     if group.twisted:

@@ -378,9 +378,11 @@ class HomologyPresentation:
         return f"<HomologyPresentation H_{self.degree}({self.group}) = {self}>"
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def homology(group: GroupSpec, n: int) -> HomologyPresentation:
     """Present the degree-``n`` homology of the group's small complex."""
+    if not isinstance(n, int):
+        raise TypeError("homology degree must be an integer")
     if n < 0:
         raise ValueError("homology degree must be nonnegative")
     return HomologyPresentation(group, n)

@@ -1,5 +1,6 @@
 """Bar resolution oracle: boundary, shuffles, inversion, and profiles."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -11,7 +12,6 @@ from twisthom import CapExceededError, InfiniteGroupError, bar, homology_type
 from twisthom.bar import (
     BarChain,
     bar_boundary,
-    bar_chain,
     bar_homology,
     bar_inversion,
     chi_profile,
@@ -20,7 +20,13 @@ from twisthom.bar import (
     shuffle_product,
 )
 from twisthom.bar import _Complex, _key_boundary
-from twisthom.chains import boundary, monomial_chain, parse_chain
+from twisthom.chains import (
+    DegreeMismatchError,
+    GroupMismatchError,
+    boundary,
+    monomial_chain,
+    parse_chain,
+)
 from twisthom.pontryagin import wedge
 
 
@@ -43,20 +49,18 @@ def test_omega_values():
 
 
 def test_bar_chain_length_validation():
-    # bar_chain and the BarChain constructor refuse the same inputs.
-    for make in (bar_chain, BarChain):
+    with pytest.raises(ValueError):
+        BarChain(G("Z_3"), 2, {((1,),): 1})
+    # Each entry is a group element: one exponent e per factor, 0 <= e < order.
+    for g, terms in [("Z_3", {((5,),): 1}), ("Z_3", {((1, 2),): 1}), ("Z_3", {((-1,),): 1}),
+                     ("Z_3", {((),): 1}), ("Z_2 x Z_3", {((1, 3),): 1}),
+                     ("Z_2 x Z_3", {((1,),): 1})]:
         with pytest.raises(ValueError):
-            make(G("Z_3"), 2, {((1,),): 1})
-        # Each entry is a group element: one exponent e per factor, 0 <= e < order.
-        for g, terms in [("Z_3", {((5,),): 1}), ("Z_3", {((1, 2),): 1}), ("Z_3", {((-1,),): 1}),
-                         ("Z_3", {((),): 1}), ("Z_2 x Z_3", {((1, 3),): 1}),
-                         ("Z_2 x Z_3", {((1,),): 1})]:
-            with pytest.raises(ValueError):
-                make(G(g), 1, terms)
+            BarChain(G(g), 1, terms)
 
 
 def test_bar_chain_scalars_must_be_ints():
-    a = bar_chain(G("Z_3"), 1, {((1,),): 1})
+    a = BarChain(G("Z_3"), 1, {((1,),): 1})
     with pytest.raises(TypeError):
         0.5 * a
     assert (2 * a).terms == {((1,),): 2}
@@ -64,9 +68,9 @@ def test_bar_chain_scalars_must_be_ints():
 
 def test_bar_boundary_examples():
     v = (1,)
-    c = bar_chain(G("Z_2"), 2, {(v, v): 1})
+    c = BarChain(G("Z_2"), 2, {(v, v): 1})
     assert bar_boundary(c).terms == {((1,),): 2, ((0,),): -1}
-    ct = bar_chain(G("Z_2~"), 2, {(v, v): 1})
+    ct = BarChain(G("Z_2~"), 2, {(v, v): 1})
     assert bar_boundary(ct).terms == {((0,),): -1}
 
 
@@ -76,7 +80,7 @@ def _random_bar_chain(rng, group, degree, max_terms=4):
     for _ in range(rng.randint(1, max_terms)):
         key = tuple(rng.choice(els) for _ in range(degree))
         terms[key] = terms.get(key, 0) + rng.randint(-3, 3)
-    return bar_chain(group, degree, {k: v for k, v in terms.items() if v})
+    return BarChain(group, degree, {k: v for k, v in terms.items() if v})
 
 
 @pytest.mark.parametrize("group", ["Z_3", "Z_2~ x Z_2", "Z_4~"])
@@ -105,16 +109,16 @@ def test_bar_agrees_with_small_resolution(group):
 
 def test_shuffle_unit():
     g = G("Z_3")
-    unit = bar_chain(g, 0, {(): 1})
-    a = bar_chain(g, 1, {((1,),): 1})
+    unit = BarChain(g, 0, {(): 1})
+    a = BarChain(g, 1, {((1,),): 1})
     assert shuffle_product(unit, a) == a
     assert shuffle_product(a, unit) == a
 
 
 def test_shuffle_degree_one_signs():
     g = G("Z_3")
-    a = bar_chain(g, 1, {((1,),): 1})
-    b = bar_chain(g, 1, {((2,),): 1})
+    a = BarChain(g, 1, {((1,),): 1})
+    b = BarChain(g, 1, {((2,),): 1})
     assert shuffle_product(a, b).terms == {((1,), (2,)): 1, ((2,), (1,)): -1}
 
 
@@ -146,9 +150,9 @@ def test_shuffle_anticommutativity(group):
 
 def test_bar_inversion_entries():
     g = G("Z_3")
-    a = bar_chain(g, 1, {((1,),): 1})
+    a = BarChain(g, 1, {((1,),): 1})
     assert bar_inversion(a).terms == {((2,),): 1}
-    pair = bar_chain(g, 2, {((1,), (2,)): 1})
+    pair = BarChain(g, 2, {((1,), (2,)): 1})
     assert bar_inversion(pair).terms == {((2,), (1,)): 1}
 
 
@@ -222,7 +226,7 @@ def test_infinite_groups_rejected():
     with pytest.raises(InfiniteGroupError):
         chi_profile("bar", G("Z x Z_2"), 1)
     with pytest.raises(InfiniteGroupError):
-        bar_chain(G("Z"), 0, {})
+        BarChain(G("Z"), 0, {})
     with pytest.raises(InfiniteGroupError):
         elements(G("Z x Z_2"))
 
@@ -377,6 +381,46 @@ def test_constructors_own_the_zero_free_invariant():
         for log in cx.log:
             for *_, rowvals, colvals in log:
                 assert 0 not in rowvals.values() and 0 not in colvals.values(), group
+
+
+def test_chain_and_bar_chain_do_not_mix():
+    # Chain + BarChain used to return a Chain holding a bar tuple as a
+    # monomial, on which boundary then raised TypeError.
+    c = parse_chain(G("Z_2"), "[1]")
+    b = BarChain(G("Z_2"), 1, {((1,),): 1})
+    for mix in (lambda: c + b, lambda: b + c, lambda: c - b, lambda: b - c):
+        with pytest.raises(TypeError):
+            mix()
+    assert not c == b and not b == c
+    # Bar chains over different groups or degrees refuse as chains do.
+    with pytest.raises(GroupMismatchError):
+        b + BarChain(G("Z_3"), 1, {((1,),): 1})
+    with pytest.raises(DegreeMismatchError):
+        b + BarChain(G("Z_2"), 2, {((1,), (1,)): 1})
+
+
+def test_chains_are_unhashable_values():
+    c = parse_chain(G("Z_2"), "[1]")
+    b = BarChain(G("Z_2"), 1, {((1,),): 1})
+    for x in (c, b):
+        with pytest.raises(TypeError):
+            hash(x)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.terms = {}
+    c.terms = {(1,): 2}
+    assert c == 2 * parse_chain(G("Z_2"), "[1]")
+
+
+def test_subtraction_adds_the_negative():
+    rng = random.Random(89)
+    for group in ("Z_3", "Z_2~ x Z_2", "Z_4~"):
+        g = G(group)
+        for _ in range(20):
+            n = rng.choice((1, 2, 3))
+            for a, b in ((random_chain(rng, g, n), random_chain(rng, g, n)),
+                         (_random_bar_chain(rng, g, n), _random_bar_chain(rng, g, n))):
+                assert a - b == a + (-1) * b
+                assert (a - a).terms == {}
 
 
 # sha256 of one record per lifted class over the oracle groups, in every

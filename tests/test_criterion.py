@@ -193,6 +193,15 @@ def test_degree_two_floor():
     assert vanishes_for_all(G("Z_3"), 1).vanishes
 
 
+def test_non_integer_degrees_are_refused():
+    # theorem_cover(Z, 2.5) used to return TheoremCovered(free), and scan
+    # passed it through.  The type is checked before the degree floor.
+    for n in (2.5, 2.0, 1.0):
+        for decide in (theorem_cover, vanishes_for_all, scan):
+            with pytest.raises(TypeError):
+                decide(G("Z"), n)
+
+
 def test_interpret_prose():
     assert "TC(M) < 6" in interpret(theorem_cover(G("Z^4"), 3))
     assert "TC(M) = 4 = cat(C(M))" in interpret(vanishes_for_all(G("Z^4"), 2))

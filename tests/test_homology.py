@@ -103,6 +103,20 @@ def test_generator_refuses_a_non_integer_index():
         h.generator(h.num_generators)
 
 
+def test_homology_refuses_a_non_integer_degree():
+    # homology(Z_2, 1.0) used to return the cached degree-1 presentation,
+    # and homology(Z_3, 2.0) a presentation that raised only when read.
+    g = G("Z_2")
+    h = homology(g, 1)
+    for n in (1.0, 1.5, -0.5):
+        with pytest.raises(TypeError):
+            homology(g, n)
+    with pytest.raises(TypeError):
+        homology(G("Z_3"), 2.0)
+    assert homology(g, 1) is h
+    with pytest.raises(TypeError):
+        reduce_cycle(Chain(g, 1.0, {(1,): 1}))
+
 def test_homology_type_refuses_a_non_integer_degree():
     # homology_type(Z_2, 1.5) used to answer 0 by the Kunneth route, where
     # reading homology(Z_2, 1.5) raises TypeError.  The cache is typed, so
