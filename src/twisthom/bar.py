@@ -39,7 +39,14 @@ from dataclasses import dataclass, field
 from .chains import _Combination
 from .criterion import chi_chain
 from .groups import GroupSpec
-from .homology import AbelianType, InfiniteGroupError, class_order, coords_order, homology
+from .homology import (
+    AbelianType,
+    InfiniteGroupError,
+    as_degree,
+    class_order,
+    coords_order,
+    homology,
+)
 from .snf import _addmul, _dot, quotient_presentation
 
 
@@ -443,6 +450,7 @@ def _complex(group: GroupSpec, degrees, cap: int) -> _Complex:
 
 def bar_homology(group: GroupSpec, n: int, cap: int = BAR_CAP) -> AbelianType:
     """Isomorphism type of H_n computed from the bar complex alone."""
+    n = as_degree(n)
     if not group.is_finite:
         raise InfiniteGroupError("bar computations need a finite group")
     if n < 0:
@@ -460,6 +468,7 @@ def chi_profile(source: str, group: GroupSpec, n: int, cap: int = BAR_CAP):
     agreement is what the oracle comparison checks.  Returned as a sorted
     tuple of pairs.  A negative ``n`` is refused on either route.
     """
+    n = as_degree(n)
     if n < 0:
         raise ValueError("homology degree must be nonnegative")
     if source == "bar":

@@ -15,6 +15,22 @@ of its per-factor degrees, summing to n.  The tensor differential applies
 each factor's differential in place with the usual sign, (-1) to the sum
 of the degrees strictly before that slot.
 
+Per-monomial tables.  The law checks meet the same monomials again and
+again, so each monomial's data is computed once per (group, degree) and
+kept in that pair's table: its faces under the differential with their
+signed coefficients (read by :func:`boundary`), the integer j multiplies
+it by (read by ``pontryagin.inversion_chain``), and its block key and
+local Koszul position (written by ``homology`` once the monomial passes
+validation, and read by ``reduce``, ``class_order`` and ``is_boundary``).
+The store is keyed by (group, degree), holds at most ``_MAX_TABLES``
+(32) tables and drops the oldest past that.  No answer depends on its
+state: an entry is stored only after the same computation and validation
+a cold call makes, and is a function of the monomial's values alone, so
+a cold, a warm and an evicted table give equal answers.  Faces are
+stored only for monomials of plain ints, so an equal tuple of other
+types, such as ``(True, 2)``, never puts its entries into the faces of
+``(1, 2)``.
+
 Chain literals are written as ``k*[i1 i2 ... il]`` terms joined by ``+``
 or ``-``, one integer per factor, with ``k`` optional:
 
@@ -154,6 +170,37 @@ def _validate_monomial(group: GroupSpec, mon: Monomial, degree: int | None = Non
         raise DegreeMismatchError(f"term of degree {sum(mon)} in a degree-{degree} chain")
 
 
+class _Table:
+    """Per-monomial data of one (group, degree), each entry computed the
+    first time it is needed: a monomial's ``faces`` (read by
+    :func:`boundary`), its ``inversion`` multiplier (read by
+    ``pontryagin.inversion_chain``) and its ``position``, the pair (block
+    key, local Koszul position), written and read by ``homology``."""
+
+    __slots__ = ("faces", "inversion", "position")
+
+    def __init__(self):
+        self.faces: dict = {}
+        self.inversion: dict = {}
+        self.position: dict = {}
+
+
+# Tables by (group, degree), oldest first.  Past _MAX_TABLES the oldest is
+# dropped; the law checks over one group use about ten degrees at a time.
+_TABLES: dict[tuple[GroupSpec, int], _Table] = {}
+_MAX_TABLES = 32
+
+
+def _table(group: GroupSpec, degree: int) -> _Table:
+    """The table of (group, degree), made empty the first time."""
+    table = _TABLES.get((group, degree))
+    if table is None:
+        table = _TABLES[group, degree] = _Table()
+        if len(_TABLES) > _MAX_TABLES:
+            del _TABLES[next(iter(_TABLES))]
+    return table
+
+
 @lru_cache(maxsize=4096)
 def basis(group: GroupSpec, n: int):
     """Monomials of total degree n, in lexicographic order on degree vectors."""
@@ -199,21 +246,35 @@ def _atomic_boundary(order: int, sign: int, i: int) -> tuple[int, int] | None:
     return (i - 1, 2) if i % 2 == 1 else None
 
 
+def _faces(group: GroupSpec, mon: Monomial) -> tuple:
+    """The terms of the differential of one monomial, as (face, signed
+    coefficient) pairs in slot order."""
+    orders, signs = group.orders, group.signs
+    out = []
+    parity = 0  # degree sum strictly before the current slot, mod 2
+    for k, i in enumerate(mon):
+        if i:
+            hit = _atomic_boundary(orders[k], signs[k], i)
+            if hit is not None:
+                j, mult = hit
+                out.append((mon[:k] + (j,) + mon[k + 1:], -mult if parity else mult))
+            parity ^= i & 1
+    return tuple(out)
+
+
 def boundary(chain: Chain) -> Chain:
     """The differential.  Degree-0 chains map to the zero chain in degree -1."""
     group = chain.group
-    orders, signs = group.orders, group.signs
+    faces = _table(group, chain.degree).faces
     out: dict = {}
     for mon, coef in chain.terms.items():
-        parity = 0  # degree sum strictly before the current slot, mod 2
-        for k, i in enumerate(mon):
-            if i:
-                hit = _atomic_boundary(orders[k], signs[k], i)
-                if hit is not None:
-                    j, mult = hit
-                    target = mon[:k] + (j,) + mon[k + 1:]
-                    out[target] = out.get(target, 0) + (-coef if parity else coef) * mult
-                parity ^= i & 1
+        hits = faces.get(mon)
+        if hits is None:
+            hits = _faces(group, mon)
+            if all(type(i) is int for i in mon):
+                faces[mon] = hits
+        for face, mult in hits:
+            out[face] = out.get(face, 0) + coef * mult
     return Chain(group, chain.degree - 1, out)
 
 

@@ -82,10 +82,11 @@ a tested task adds, so the four counts depend on (group, n) alone, and a
 remembered failure goes to the ordered pass like a fresh one, so the
 witness does not depend on the memo either.
 
-Any other product is tested in its target block by the block rule of
-:mod:`~twisthom.homology`: it is checked as a cycle there and bounds iff
-the block's gcd divides the gcd of its coefficients.  The target key
-comes from ``product_block_key``, so no product is split by block again.
+Any other product is tested by the block rule of
+:mod:`~twisthom.homology` in its one target block, the block that
+``product_block_key`` reads off the two keys: its terms are placed there
+with one position-table lookup each, it is checked as a cycle there and
+bounds iff the block's gcd divides the gcd of its coefficients.
 
 ``theorem_cover`` is the purely syntactic companion: it recognizes the
 group shapes and degree ranges for which vanishing is guaranteed without
@@ -102,6 +103,7 @@ from .groups import GroupSpec
 from .homology import (
     HomologyClass,
     _prime_power_split,
+    as_degree,
     class_order,
     format_order,
     generating_cycles,
@@ -210,22 +212,22 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     skips).  A task whose reduced form an earlier cell of the process
     decided is not tested again; its remembered outcome counts the same.
     """
+    n = as_degree(n)
     h = homology(group, n)
     h2 = homology(group, 2 * n)
     gens = generating_cycles(group, n)
     jgens: dict = {}
     sign = -1 if n % 2 else 1
 
-    def unbounded(i: int, j: int, key) -> Chain | None:
-        """z_i ^ j(z_j), symmetrized when i != j, or None when it bounds;
-        ``key`` is the target block the product lies in."""
+    def unbounded(i: int, j: int) -> Chain | None:
+        """z_i ^ j(z_j), symmetrized when i != j, or None when it bounds."""
         jz = jgens.get(j)
         if jz is None:
             jz = jgens[j] = inversion_chain(gens[j])
         value = wedge(gens[i], jz)
         if i != j and not value.is_zero:
             value = value + sign * inversion_chain(value)
-        return None if value.is_zero or h2._order(key, value.terms.items()) == 1 else value
+        return None if value.is_zero or h2._order(value) == 1 else value
 
     counts = _orbit_pass(group, n, h._layout, unbounded)
     if counts is None:
@@ -315,7 +317,7 @@ def _orbit_pass(group: GroupSpec, n: int, blocks: dict, unbounded) -> dict | Non
             if passes is None:
                 pairs = (itertools.chain(zip(ia, ia), itertools.combinations(ia, 2)) if a == b
                          else itertools.product(ia, ib))
-                passes = _TASKS[form] = all(unbounded(i, j, key) is None for i, j in pairs)
+                passes = _TASKS[form] = all(unbounded(i, j) is None for i, j in pairs)
                 if len(_TASKS) > _MAX_TASKS:
                     del _TASKS[next(iter(_TASKS))]
             if not passes:
@@ -335,7 +337,7 @@ def _ordered_pass(group: GroupSpec, n: int, gens, keys, unbounded) -> Verdict:
             counts[rule] += 1
             continue
         counts["pairs_formed"] += 1
-        value = unbounded(i, j, key)
+        value = unbounded(i, j)
         if value is not None:
             witness = gens[i] if i == j else gens[i] + gens[j]
             chi = value if i == j else chi_chain(witness)
@@ -356,8 +358,7 @@ def theorem_cover(group: GroupSpec, n: int) -> Verdict:
     vanishing?  No homology is computed; the shapes are matched on the
     factor multiset and the degree conditions on n alone.
     """
-    if not isinstance(n, int):
-        raise TypeError("homology degree must be an integer")
+    n = as_degree(n)
     if n < 2:
         raise DegreeTooSmallError("coverage check needs degree >= 2")
     if group.twisted:

@@ -14,12 +14,16 @@ coordinate row and one cycle vector per generator.  A block whose
 coefficients have gcd 1 is exact: its presentation is empty and it holds
 no generators.  A presentation keeps one table of every block it meets,
 exact ones too, each built once, and ``_layout`` maps each block with
-homology to the range of its generators.  A chain is split by block in
-one walk over its monomials, which also validates them, and is checked
-as a cycle on each block's Koszul columns, touching only the blocks its
-terms lie in.  ``reduce`` reads a cycle's coordinates off the coordinate
-rows into its blocks' generator ranges; a class's order, and so whether
-it bounds, needs no coordinates.  Presentations are cached per
+homology to the range of its generators.  A chain is split into its
+blocks' local vectors with one lookup per monomial in the position table
+of :mod:`twisthom.chains`, which holds each monomial's block key and
+local Koszul position; a monomial met for the first time in its (group,
+degree) is validated, then its position is computed and stored, so an
+invalid monomial is refused whatever the table holds.  Each local vector
+is checked as a cycle on its block's Koszul columns, touching only the
+blocks the chain's terms lie in.  ``reduce`` reads a cycle's coordinates
+off the coordinate rows into its blocks' generator ranges; a class's
+order, and so whether it bounds, needs no coordinates.  Presentations are cached per
 ``(group, n)`` and compare equal when ``(group, n)`` is equal.
 
 The block rule.  Let g = gcd(c) in K(c) (g = 0 when no slot is paired),
@@ -63,10 +67,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import comb, gcd, lcm
 
-from .chains import Chain, ChainError, _validate_monomial, basis, block_key, block_pairing
+from .chains import (
+    Chain,
+    ChainError,
+    _table,
+    _validate_monomial,
+    basis,
+    block_key,
+    block_pairing,
+)
 from .groups import GroupSpec
 from .snf import QuotientPresentation, _combination, quotient_presentation
 
@@ -224,10 +236,14 @@ class HomologyPresentation:
     prints the primary decomposition.
     Every block the presentation meets is kept once, exact ones too, and
     ``_layout`` maps each block with homology to the range of its
-    generators.  ``reduce`` sends a cycle to coordinates;
-    ``representative`` lifts coordinates back to a cycle, and the two are
-    mutually inverse up to boundaries.  Presentations are values: equal
-    and hashable on ``(group, degree)``.
+    generators.  ``_parts`` turns a chain into one local vector per block
+    it touches, reading each monomial's (block key, local position) from
+    the position table of its (group, degree) and filling it on first
+    sight after validation; ``reduce``, ``class_order`` and
+    ``is_boundary`` all start there.  ``reduce`` sends a cycle to
+    coordinates; ``representative`` lifts coordinates back to a cycle,
+    and the two are mutually inverse up to boundaries.  Presentations are
+    values: equal and hashable on ``(group, degree)``.
     """
 
     def __init__(self, group: GroupSpec, degree: int):
@@ -296,35 +312,51 @@ class HomologyPresentation:
                 out.append(Chain(self.group, self.degree, terms))
         return tuple(out)
 
-    def _local(self, key, terms):
-        """The block of ``key`` and the local vector of ``terms``, which all
-        lie in it; raises ``NotACycleError`` unless the vector is a cycle."""
-        slots, kos = self._block(key)
-        vec = {kos.index[tuple(s for s, k in enumerate(slots) if mon[k] != key[k])]: coef
-               for mon, coef in terms}
-        if not kos.is_cycle(vec):
-            raise NotACycleError("chain has nonzero boundary")
-        return kos, vec
-
-    def _order(self, key, terms) -> int:
-        """Order of the class of ``terms``, which all lie in the block of
-        ``key``, by the block rule g / gcd(g, content); 0 stands for
-        infinite.  Raises ``NotACycleError`` unless they form a cycle."""
-        kos, vec = self._local(key, terms)
-        return kos.g // gcd(kos.g, *vec.values())
-
-    def _parts(self, chain: Chain):
-        """The chain's terms split by block key, as (key, terms) pairs, in
-        one walk that refuses a chain from another group or degree, or with
-        a monomial outside this degree's basis.  The differential keeps
-        every block, so each part is a cycle when the chain is one."""
-        if chain.group != self.group or chain.degree != self.degree:
+    def _parts(self, chain: Chain) -> dict:
+        """The chain's terms split by block, as block key -> local vector,
+        refusing a chain from another group or degree, or with a monomial
+        outside this degree's basis.  Each monomial costs one lookup in
+        the position table; one met for the first time is validated, then
+        its block key and local position are stored.  The differential
+        keeps every block, so each part is a cycle when the chain is one."""
+        group, n = self.group, self.degree
+        if chain.group != group or chain.degree != n:
             raise ValueError("chain does not live where this presentation does")
+        positions = _table(group, n).position
         split: dict = {}
         for mon, coef in chain.terms.items():
-            _validate_monomial(self.group, mon, self.degree)
-            split.setdefault(block_key(self.group, mon), []).append((mon, coef))
-        return split.items()
+            pos = positions.get(mon)
+            if pos is None:
+                _validate_monomial(group, mon, n)
+                key = block_key(group, mon)
+                slots, kos = self._block(key)
+                raised = tuple(s for s, k in enumerate(slots) if mon[k] != key[k])
+                pos = positions[mon] = (key, kos.index[raised])
+            key, i = pos
+            vec = split.get(key)
+            if vec is None:
+                split[key] = {i: coef}
+            else:
+                vec[i] = coef
+        return split
+
+    def _local(self, key, vec) -> _Koszul:
+        """The Koszul block of ``key``; raises ``NotACycleError`` unless the
+        local vector ``vec`` is a cycle there."""
+        kos = self._block(key)[1]
+        if not kos.is_cycle(vec):
+            raise NotACycleError("chain has nonzero boundary")
+        return kos
+
+    def _order(self, chain: Chain) -> int:
+        """Order of the chain's class, the lcm over its blocks of the block
+        rule g / gcd(g, content); 0 stands for infinite.  Raises
+        ``NotACycleError`` unless the chain is a cycle."""
+        orders = []
+        for key, vec in self._parts(chain).items():
+            g = self._local(key, vec).g
+            orders.append(g // gcd(g, *vec.values()))
+        return lcm(*orders)
 
     def zero(self) -> HomologyClass:
         return HomologyClass(self, (0,) * self.free_rank, (0,) * len(self.torsion_divisors))
@@ -345,8 +377,8 @@ class HomologyPresentation:
     def reduce(self, chain: Chain) -> HomologyClass:
         parts = self._parts(chain)
         coords = [0] * self.num_generators
-        for key, terms in parts:
-            kos, vec = self._local(key, terms)
+        for key, vec in parts.items():
+            kos = self._local(key, vec)
             span = self._layout.get(key)
             if span:
                 free, torsion = kos.core.class_coords(vec)
@@ -378,11 +410,33 @@ class HomologyPresentation:
         return f"<HomologyPresentation H_{self.degree}({self.group}) = {self}>"
 
 
-@lru_cache(maxsize=256, typed=True)
-def homology(group: GroupSpec, n: int) -> HomologyPresentation:
-    """Present the degree-``n`` homology of the group's small complex."""
+def as_degree(n) -> int:
+    """A degree argument as an int, checked before any work: anything but
+    an int is refused with ``TypeError``, and a bool is read as its int."""
     if not isinstance(n, int):
         raise TypeError("homology degree must be an integer")
+    return int(n)
+
+
+def _degree_cache(maxsize: int):
+    """An ``lru_cache`` on ``(group, n)`` behind :func:`as_degree`: a degree
+    that is not an int is refused before the cache is read, and True and
+    1 share one entry."""
+    def wrap(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def call(group: GroupSpec, n):
+            return cached(group, as_degree(n))
+
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+    return wrap
+
+
+@_degree_cache(maxsize=256)
+def homology(group: GroupSpec, n: int) -> HomologyPresentation:
+    """Present the degree-``n`` homology of the group's small complex."""
     if n < 0:
         raise ValueError("homology degree must be nonnegative")
     return HomologyPresentation(group, n)
@@ -397,8 +451,7 @@ def class_order(chain: Chain) -> int:
     """Order of the cycle's homology class; 0 stands for infinite.
 
     The lcm of the block rule's orders over the blocks the chain touches."""
-    h = homology(chain.group, chain.degree)
-    return lcm(*(h._order(key, terms) for key, terms in h._parts(chain)))
+    return homology(chain.group, chain.degree)._order(chain)
 
 
 def is_boundary(chain: Chain) -> bool:
@@ -490,7 +543,7 @@ class AbelianType:
         return " + ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=4096, typed=True)
+@_degree_cache(maxsize=4096)
 def homology_type(group: GroupSpec, n: int) -> AbelianType:
     """Isomorphism type of H_n from closed forms on one factor plus Kunneth.
 
@@ -498,11 +551,9 @@ def homology_type(group: GroupSpec, n: int) -> AbelianType:
     known homology of the four periodic complexes and products recurse
     through ``kunneth_predict``, so it serves as an independent check on
     the presentations.  A degree that is not an int raises ``TypeError``
-    (the cache is typed, so 1.0 is refused even after 1 is cached); a
+    before the cache is read, so 1.0 is refused even after 1 is cached; a
     negative degree gives zero.
     """
-    if not isinstance(n, int):
-        raise TypeError("homology degree must be an integer")
     if n < 0:
         return AbelianType.zero()
     k = len(group)

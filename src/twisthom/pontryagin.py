@@ -16,14 +16,16 @@ Inversion multiplies each slot independently: the degree-i generator of a
 factor picks up (-1)^i when the factor is infinite untwisted, the factor
 order q gives (q-1)^ceil(i/2) when finite untwisted, and twisted factors
 of either kind are fixed.  These are the maps induced by g -> -g on the
-small resolutions, so the result is a chain map of degree zero.
+small resolutions, so the result is a chain map of degree zero.  Each
+monomial's multiplier is computed once per (group, degree) and kept in
+the per-monomial tables of :mod:`twisthom.chains`.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .chains import Chain, GroupMismatchError
+from .chains import Chain, GroupMismatchError, _table
 
 
 def _atomic_wedge(order: int, a: int, b: int) -> int:
@@ -81,17 +83,28 @@ def _atomic_inversion(order: int, sign: int, i: int) -> int:
     return (order - 1) ** ((i + 1) >> 1)
 
 
+def _inversion_multiplier(group, mon) -> int:
+    """The integer j multiplies ``mon`` by, the product of its slots' factors."""
+    orders, signs = group.orders, group.signs
+    mult = 1
+    for k, i in enumerate(mon):
+        if i:
+            mult *= _atomic_inversion(orders[k], signs[k], i)
+    return mult
+
+
 def inversion_chain(chain: Chain) -> Chain:
     """The chain map induced by inverting every group element.
 
     Monomials are fixed up to an integer multiple, so no Koszul signs
     arise; on homology the induced map squares to the identity.
     """
-    orders, signs = chain.group.orders, chain.group.signs
+    group = chain.group
+    mults = _table(group, chain.degree).inversion
     out: dict = {}
     for mon, coef in chain.terms.items():
-        for k, i in enumerate(mon):
-            if i:
-                coef *= _atomic_inversion(orders[k], signs[k], i)
-        out[mon] = coef
-    return Chain(chain.group, chain.degree, out)
+        mult = mults.get(mon)
+        if mult is None:
+            mult = mults[mon] = _inversion_multiplier(group, mon)
+        out[mon] = coef * mult
+    return Chain(group, chain.degree, out)

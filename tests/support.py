@@ -20,10 +20,10 @@ from twisthom import (
     parse_group_spec,
     zero_chain,
 )
-from twisthom.chains import basis, block_key, product_block_key
+from twisthom.chains import _atomic_boundary, basis, block_key, product_block_key
 from twisthom.criterion import _skip_rule, _slot_type, chi_chain
 from twisthom.homology import class_order, generating_cycles, is_boundary
-from twisthom.pontryagin import inversion_chain, wedge
+from twisthom.pontryagin import _atomic_inversion, inversion_chain, wedge
 
 
 def G(text: str) -> GroupSpec:
@@ -131,6 +131,35 @@ def criterion_grid() -> list[tuple[GroupSpec, int]]:
     return list(cells)
 
 
+def mixed_slot_family() -> list[tuple[GroupSpec, int]]:
+    """Z^r (r <= 3), placed first and also last, times 1-3 factors from
+    {Z_2, Z_3, Z_4, Z_9}, in degrees 2..5: slots of one order side by side
+    with slots of another, where an orbit rule that merged them would
+    skip block pairs that are not images of one another."""
+    groups: dict[GroupSpec, None] = {}
+    for r in range(4):
+        free = (CyclicFactor(0),) * r
+        for k in range(1, 4):
+            for orders in itertools.combinations_with_replacement((2, 3, 4, 9), k):
+                finite = tuple(CyclicFactor(q) for q in orders)
+                groups.setdefault(GroupSpec(free + finite), None)
+                groups.setdefault(GroupSpec(finite + free), None)
+    return [(g, n) for g in groups for n in range(2, 6)]
+
+
+def twisted_cells() -> list[tuple[GroupSpec, int]]:
+    """Twisted groups of 1-3 factors from {Z, Z~, Z_2, Z_2~, Z_4, Z_4~,
+    Z_6, Z_6~}, in degrees 0..5 (0..4 for three factors): twisted finite
+    slots of different orders side by side, which share one slot type."""
+    kinds = [CyclicFactor(q, s) for q in (0, 2, 4, 6) for s in (1, -1)]
+    cells = []
+    for k in range(1, 4):
+        for combo in itertools.combinations_with_replacement(kinds, k):
+            if any(f.twisted for f in combo):
+                cells += [(GroupSpec(combo), n) for n in range(6 if k < 3 else 5)]
+    return cells
+
+
 def grid_groups() -> list[GroupSpec]:
     seen: dict[GroupSpec, None] = {}
     for g, _ in criterion_grid():
@@ -191,6 +220,28 @@ def reference_orbit_counts(group: GroupSpec, n: int) -> tuple[int, int, int, int
             counts[rule] += size
     return (counts["formed"], counts["skipped_free"], counts["skipped_degree"],
             counts["orbit"])
+
+
+def reference_faces(group: GroupSpec, mon) -> tuple:
+    """The differential of one monomial, slot by slot from
+    ``_atomic_boundary``: (face, coefficient) pairs in slot order, each
+    coefficient signed by the degrees of the slots before it."""
+    out = []
+    for k, i in enumerate(mon):
+        hit = _atomic_boundary(group.orders[k], group.signs[k], i)
+        if hit is not None:
+            j, c = hit
+            out.append((mon[:k] + (j,) + mon[k + 1:], (-1) ** sum(mon[:k]) * c))
+    return tuple(out)
+
+
+def reference_inversion(group: GroupSpec, mon) -> int:
+    """The multiplier of j on one monomial, the product over its slots of
+    ``_atomic_inversion``."""
+    out = 1
+    for order, sign, i in zip(group.orders, group.signs, mon):
+        out *= _atomic_inversion(order, sign, i)
+    return out
 
 
 def random_chain(

@@ -197,6 +197,26 @@ def test_chi_profile_rejects_bad_input():
                         chi_profile(source, g, n)
 
 
+def test_bar_entry_points_refuse_a_non_integer_degree():
+    # bar_homology(Z_3, 1.5) used to build the cached Z_3 complex through
+    # degree 3 before failing with a bare list-index TypeError, and
+    # chi_profile("bar", Z_2, 1.5) failed the same way.  The degree is now
+    # checked before any work, and a bool is read as its int.
+    bar._COMPLEXES.clear()
+    bar_homology(G("Z_2"), 1)
+    before = {g: cx.top for g, cx in bar._COMPLEXES.items()}
+    for n in (1.5, 1.0, "1"):
+        for refused in (lambda: bar_homology(G("Z_3"), n),
+                        lambda: chi_profile("bar", G("Z_2"), n),
+                        lambda: chi_profile("small", G("Z_2"), n)):
+            with pytest.raises(TypeError, match="homology degree must be an integer"):
+                refused()
+        assert {g: cx.top for g, cx in bar._COMPLEXES.items()} == before
+    assert bar_homology(G("Z_3"), True) == bar_homology(G("Z_3"), 1)
+    for source in ("bar", "small"):
+        assert chi_profile(source, G("Z_2"), True) == chi_profile(source, G("Z_2"), 1)
+
+
 def test_caps():
     with pytest.raises(CapExceededError):
         bar_homology(G("Z_3 x Z_3"), 4, cap=20000)

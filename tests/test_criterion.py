@@ -9,10 +9,12 @@ from support import (
     SHARPNESS_CELLS,
     G,
     criterion_grid,
+    mixed_slot_family,
     random_chain,
     random_cycle,
     reference_orbit_counts,
     reference_vanishing,
+    twisted_cells,
 )
 from twisthom import (
     Chain,
@@ -202,6 +204,15 @@ def test_non_integer_degrees_are_refused():
                 decide(G("Z"), n)
 
 
+def test_a_bool_degree_is_read_as_its_int():
+    for g in (G("Z^4"), G("Z_3")):
+        for decide in (theorem_cover, vanishes_for_all):
+            v = decide(g, True + True)
+            assert v == decide(g, 2) and type(v.degree) is int
+    v = vanishes_for_all(G("Z_3"), True)
+    assert v == vanishes_for_all(G("Z_3"), 1) and type(v.degree) is int
+
+
 def test_interpret_prose():
     assert "TC(M) < 6" in interpret(theorem_cover(G("Z^4"), 3))
     assert "TC(M) = 4 = cat(C(M))" in interpret(vanishes_for_all(G("Z^4"), 2))
@@ -303,24 +314,8 @@ def test_vanishing_matches_the_reference_loop_on_the_grid():
     assert [(str(g), n) for g, n in cells if not _agrees_with_reference(g, n)] == []
 
 
-def _mixed_slot_family() -> list[tuple[GroupSpec, int]]:
-    """Z^r (r <= 3), placed first and also last, times 1-3 factors from
-    {Z_2, Z_3, Z_4, Z_9}, in degrees 2..5: slots of one order side by side
-    with slots of another, where an orbit rule that merged them would
-    skip block pairs that are not images of one another."""
-    groups: dict[GroupSpec, None] = {}
-    for r in range(4):
-        free = (CyclicFactor(0),) * r
-        for k in range(1, 4):
-            for orders in itertools.combinations_with_replacement((2, 3, 4, 9), k):
-                finite = tuple(CyclicFactor(q) for q in orders)
-                groups.setdefault(GroupSpec(free + finite), None)
-                groups.setdefault(GroupSpec(finite + free), None)
-    return [(g, n) for g in groups for n in range(2, 6)]
-
-
 def test_vanishing_matches_the_reference_loop_on_mixed_slots():
-    cells = _mixed_slot_family()
+    cells = mixed_slot_family()
     assert len(cells) == 952
     verdicts = [vanishes_for_all(g, n) for g, n in cells]
     assert sum(not v.vanishes for v in verdicts) == 380
@@ -343,23 +338,10 @@ def test_orbit_skips_match_the_reference_loop(group, n):
     assert _agrees_with_reference(G(group), n)
 
 
-def _twisted_cells() -> list[tuple[GroupSpec, int]]:
-    """Twisted groups of 1-3 factors from {Z, Z~, Z_2, Z_2~, Z_4, Z_4~,
-    Z_6, Z_6~}, in degrees 0..5 (0..4 for three factors): twisted finite
-    slots of different orders side by side, which share one slot type."""
-    kinds = [CyclicFactor(q, s) for q in (0, 2, 4, 6) for s in (1, -1)]
-    cells = []
-    for k in range(1, 4):
-        for combo in itertools.combinations_with_replacement(kinds, k):
-            if any(f.twisted for f in combo):
-                cells += [(GroupSpec(combo), n) for n in range(6 if k < 3 else 5)]
-    return cells
-
-
 def test_vanishing_matches_the_reference_loop_on_twisted_cells():
     # Every twisted cell of degree >= 2 vanishes, so the witnesses come
     # from degrees 0 and 1, and the counts are checked on the rest.
-    cells = _twisted_cells()
+    cells = twisted_cells()
     assert len(cells) == 680
     verdicts = [vanishes_for_all(g, n) for g, n in cells]
     assert sum(not v.vanishes for v in verdicts) == 130
@@ -428,7 +410,7 @@ def test_verdicts_do_not_depend_on_the_task_memo(monkeypatch):
     # of the process.  Cold (cleared before each cell), filled by earlier
     # cells, fully warm, and evicting on every insert, each cell must get
     # the same verdict, witness, provenance and counts.
-    cells = _twisted_cells() + _mixed_slot_family()
+    cells = twisted_cells() + mixed_slot_family()
     cold = []
     for g, n in cells:
         criterion._TASKS.clear()

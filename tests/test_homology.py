@@ -119,8 +119,9 @@ def test_homology_refuses_a_non_integer_degree():
 
 def test_homology_type_refuses_a_non_integer_degree():
     # homology_type(Z_2, 1.5) used to answer 0 by the Kunneth route, where
-    # reading homology(Z_2, 1.5) raises TypeError.  The cache is typed, so
-    # 1.0 is refused even once degree 1 is cached.
+    # reading homology(Z_2, 1.5) raises TypeError.  The degree is checked
+    # before the cache is read, so 1.0 is refused even once degree 1 is
+    # cached.
     for text in ("Z_2", "Z_3 x Z_4~"):
         g = G(text)
         assert homology_type(g, 1) == homology(g, 1).abelian_type()
@@ -131,6 +132,22 @@ def test_homology_type_refuses_a_non_integer_degree():
             homology(g, 1.5).abelian_type()
         assert homology_type(g, -1) == AbelianType.zero()
         assert homology_type(g, True) == homology_type(g, 1)
+
+
+def test_a_bool_degree_is_read_as_its_int():
+    # homology(Z_2, True) used to build and cache a second presentation,
+    # printed as H_True(Z_2), beside the degree-1 one.
+    g = G("Z_2")
+    homology.cache_clear()
+    homology_type.cache_clear()
+    assert homology(g, True) is homology(g, 1)
+    assert homology(g, 1).degree == 1 and type(homology(g, True).degree) is int
+    assert repr(homology(g, True)) == "<HomologyPresentation H_1(Z_2) = Z_2>"
+    assert homology_type(g, True) == homology_type(g, 1)
+    assert homology.cache_info().currsize == 1
+    assert homology_type.cache_info().currsize == 1
+    with pytest.raises(TypeError, match="homology degree must be an integer"):
+        homology(g, "1")
 
 
 def test_infinite_order_class():

@@ -1,0 +1,161 @@
+"""The per-monomial tables of ``chains``: bounded, and never part of an answer.
+
+``boundary``, ``inversion_chain`` and the reduction entry points
+(``reduce``, ``class_order``, ``is_boundary``) read each monomial's faces,
+inversion multiplier and (block key, local position) from a table per
+(group, degree), filled on first use.  These tests check that a cold, a
+warm and a constantly evicted store give the same answers, that the store
+keeps its bound, that stored entries equal a per-slot reference, and that
+stored valid monomials never let an invalid one through.
+"""
+
+import random
+
+import pytest
+
+from support import (
+    PROPERTY_GROUPS,
+    G,
+    mixed_slot_family,
+    random_chain,
+    random_cycle,
+    reference_faces,
+    reference_inversion,
+    twisted_cells,
+)
+from twisthom import (
+    Chain,
+    DegreeMismatchError,
+    InvalidMonomialError,
+    basis,
+    boundary,
+    format_chain,
+    monomial_chain,
+    parse_chain,
+)
+from twisthom import chains
+from twisthom.chains import block_key
+from twisthom.homology import class_order, homology, is_boundary, reduce_cycle
+from twisthom.pontryagin import inversion_chain
+
+
+def _groups():
+    """PROPERTY_GROUPS, then every tenth group of the twisted and the
+    mixed-slot families."""
+    out = dict.fromkeys(G(text) for text in PROPERTY_GROUPS)
+    for family in (twisted_cells(), mixed_slot_family()):
+        out.update(dict.fromkeys(list(dict.fromkeys(g for g, _ in family))[::10]))
+    return list(out)
+
+
+def _cases(seed: int = 19):
+    """(random chain, random cycle) pairs in degrees 0..4 over ``_groups``."""
+    rng = random.Random(seed)
+    return [(random_chain(rng, g, n), random_cycle(rng, g, n))
+            for g in _groups() for n in range(5) for _ in range(2)]
+
+
+def _answers(cases, before=lambda: None):
+    """Every entry point that reads the tables, on every case; ``before``
+    runs ahead of each call."""
+    out = []
+    for chain, cycle in cases:
+        for call, arg in ((boundary, chain), (inversion_chain, chain), (is_boundary, chain),
+                          (boundary, cycle), (inversion_chain, cycle), (reduce_cycle, cycle),
+                          (class_order, cycle), (is_boundary, cycle)):
+            before()
+            out.append(call(arg))
+    return out
+
+
+def test_cold_warm_and_evicted_tables_agree(monkeypatch):
+    cases = _cases()
+    assert len(cases) > 400
+    cold = _answers(cases, before=chains._TABLES.clear)
+    monkeypatch.setattr(chains, "_MAX_TABLES", 10**6)
+    chains._TABLES.clear()
+    _answers(cases)
+    filled = len(chains._TABLES)
+    warm = _answers(cases)
+    assert len(chains._TABLES) == filled  # the second pass met no new table
+    chains._TABLES.clear()
+    monkeypatch.setattr(chains, "_MAX_TABLES", 1)
+    evicted = _answers(cases)
+    assert len(chains._TABLES) == 1
+    assert cold == warm == evicted
+    assert any(a is False for a in cold) and any(a is True for a in cold)
+    # Printing too: faces are built from the stored monomial.
+    assert list(map(str, cold)) == list(map(str, warm)) == list(map(str, evicted))
+
+
+def test_table_store_is_bounded():
+    # One table per (group, degree); the bound counts tables.
+    chains._TABLES.clear()
+    cells = [(G(f"Z_{q}"), n) for q in range(2, 12) for n in range(5)]
+    assert len(set(cells)) > chains._MAX_TABLES
+    first = [(boundary(c), inversion_chain(c), is_boundary(c))
+             for c in (monomial_chain(g, (n,)) for g, n in cells[:4])]
+    for g, n in cells:
+        c = monomial_chain(g, (n,))
+        boundary(c), inversion_chain(c), is_boundary(c)
+        assert len(chains._TABLES) <= chains._MAX_TABLES
+    assert all(cell not in chains._TABLES for cell in cells[:4])
+    assert [(boundary(c), inversion_chain(c), is_boundary(c))
+            for c in (monomial_chain(g, (n,)) for g, n in cells[:4])] == first
+
+
+def test_invalid_monomials_are_refused_after_valid_ones_are_stored():
+    g = G("Z x Z_3")
+    chains._TABLES.clear()
+    for n in (2, 3):  # stores every monomial of degrees 2 and 3
+        assert not is_boundary(Chain(g, n, dict.fromkeys(basis(g, n), 1)))
+    positions = chains._table(g, 2).position
+    assert set(positions) == set(basis(g, 2))
+    assert (1, 2) in chains._table(g, 3).position
+    invalid = (({(0, 0, 2): 1}, InvalidMonomialError),  # wrong slot count
+               ({(0, 2): 1, (-1, 3): 1}, InvalidMonomialError),  # negative entry
+               ({(1, 1): 1, (2, 0): 1}, InvalidMonomialError),  # Z slot above 1
+               ({(0, 2): 1, (1, 2): 1}, DegreeMismatchError))  # total degree 3
+    for terms, error in invalid:
+        for check in (class_order, is_boundary, reduce_cycle):
+            with pytest.raises(error):
+                check(Chain(g, 2, terms))
+    assert set(positions) == set(basis(g, 2))
+    # Validation reads values only, so a tuple equal to a stored monomial
+    # gets the answer validation gives it.
+    assert class_order(Chain(g, 2, {(True, 1): 3})) == class_order(parse_chain(g, "3*[1 1]"))
+
+
+def test_boundary_of_an_equal_monomial_of_other_types_leaves_no_trace():
+    # Faces are stored only for monomials of plain ints, so a bool monomial
+    # met first does not put True into the faces of [1 2].
+    g = G("Z x Z_3")
+    chains._TABLES.clear()
+    assert format_chain(boundary(monomial_chain(g, (True, 2)))) == "-3*[True 1]"
+    assert format_chain(boundary(parse_chain(g, "[1 2]"))) == "-3*[1 1]"
+
+
+def test_stored_entries_match_the_per_slot_reference():
+    chains._TABLES.clear()
+    groups = [G(text) for text in ("Z x Z~ x Z_3", "Z_2~ x Z_4 x Z_3", "Z_4~ x Z^2")]
+    for g in groups:
+        for n in range(6):
+            z = Chain(g, n, dict.fromkeys(basis(g, n), 1))
+            boundary(z), inversion_chain(z), is_boundary(z)
+    assert len(chains._TABLES) == len(groups) * 6
+    seen = 0
+    for (g, n), table in chains._TABLES.items():
+        assert set(table.faces) == set(table.inversion) == set(table.position) == set(basis(g, n))
+        h = homology(g, n)
+        for mon in basis(g, n):
+            assert table.faces[mon] == reference_faces(g, mon)
+            assert table.inversion[mon] == reference_inversion(g, mon)
+            key, i = table.position[mon]
+            assert key == block_key(g, mon)
+            slots, kos = h._block(key)
+            raised = list(key)
+            for s in kos.subsets[i]:
+                raised[slots[s]] += 1
+            assert tuple(raised) == mon
+            seen += 1
+    assert seen == sum(len(basis(g, n)) for g in groups for n in range(6)) > 80
