@@ -199,15 +199,6 @@ def bar_inversion(chain: BarChain) -> BarChain:
     return BarChain(chain.group, chain.degree, total)
 
 
-def _check_cap(group: GroupSpec, degrees, cap: int):
-    size = group.group_order
-    for k in degrees:
-        if size ** k > cap:
-            raise CapExceededError(
-                f"bar degree {k} needs {size ** k} basis elements, cap is {cap}"
-            )
-
-
 def _cancel_units(cols, rows):
     """Cancel unit entries until none is left, yielding (row, column,
     unit, rest of its row, rest of its column) after each one.
@@ -435,15 +426,19 @@ _COMPLEXES: dict[GroupSpec, _Complex] = {}
 _MAX_COMPLEXES = 16
 
 
-def _complex(group: GroupSpec, degrees, cap: int) -> _Complex:
-    """The group's complex through the top of ``degrees``, within the cap."""
-    _check_cap(group, degrees, cap)
+def _complex(group: GroupSpec, top: int, cap: int) -> _Complex:
+    """The group's complex through degree ``top``.  Bar degrees grow
+    with k as |G|^k, so checking the cap at ``top`` alone, before any
+    work, covers every degree below it."""
+    size = group.group_order ** top
+    if size > cap:
+        raise CapExceededError(f"bar degree {top} needs {size} basis elements, cap is {cap}")
     cx = _COMPLEXES.get(group)
     if cx is None:
         cx = _COMPLEXES[group] = _Complex(group)
         if len(_COMPLEXES) > _MAX_COMPLEXES:
             del _COMPLEXES[next(iter(_COMPLEXES))]
-    while cx.top < max(degrees):
+    while cx.top < top:
         cx._extend()
     return cx
 
@@ -455,7 +450,7 @@ def bar_homology(group: GroupSpec, n: int, cap: int = BAR_CAP) -> AbelianType:
         raise InfiniteGroupError("bar computations need a finite group")
     if n < 0:
         return AbelianType.zero()
-    pres = _complex(group, (n, n + 1), cap).pres[n]
+    pres = _complex(group, n + 1, cap).pres[n]
     return AbelianType.from_divisors(pres.free_rank, pres.torsion)
 
 
@@ -479,10 +474,10 @@ def chi_profile(source: str, group: GroupSpec, n: int, cap: int = BAR_CAP):
 
 
 def _chi_profile_bar(group: GroupSpec, n: int, cap: int):
-    pres = _complex(group, (n, n + 1), cap).pres[n]
+    cx = _complex(group, 2 * n + 1, cap)
+    pres = cx.pres[n]
     if pres.free_rank:
         raise InfiniteGroupError("H_n has free rank; classes are not enumerable")
-    cx = _complex(group, (2 * n, 2 * n + 1), cap)
     divisors = pres.torsion
     profile = []
     for residues in itertools.product(*(range(d) for d in divisors)):

@@ -20,16 +20,20 @@ again, so each monomial's data is computed once per (group, degree) and
 kept in that pair's table: its faces under the differential with their
 signed coefficients (read by :func:`boundary`), the integer j multiplies
 it by (read by ``pontryagin.inversion_chain``), and its block key and
-local Koszul position (written by ``homology`` once the monomial passes
-validation, and read by ``reduce``, ``class_order`` and ``is_boundary``).
-The store is keyed by (group, degree), holds at most ``_MAX_TABLES``
-(32) tables and drops the oldest past that.  No answer depends on its
-state: an entry is stored only after the same computation and validation
-a cold call makes, and is a function of the monomial's values alone, so
-a cold, a warm and an evicted table give equal answers.  Faces are
-stored only for monomials of plain ints, so an equal tuple of other
-types, such as ``(True, 2)``, never puts its entries into the faces of
-``(1, 2)``.
+local Koszul position (written by ``homology``, and read by ``reduce``,
+``class_order`` and ``is_boundary``).  All three follow one rule: on a
+miss, the monomial is validated against the group and the chain's
+degree (:func:`_validate_monomial`) before its entry is computed and
+stored, so a monomial outside the basis is refused with
+``InvalidMonomialError`` or ``DegreeMismatchError`` whatever the table
+holds.  The store is keyed by (group, degree), holds at most
+``_MAX_TABLES`` (32) tables and drops the oldest past that.  No answer
+depends on its state: an entry is stored only after the same computation
+and validation a cold call makes, and is a function of the monomial's
+values alone, so a cold, a warm and an evicted table give equal answers.
+Faces are stored only for monomials of plain ints, so an equal tuple of
+other types, such as ``(True, 2)``, never puts its entries into the
+faces of ``(1, 2)``.
 
 Chain literals are written as ``k*[i1 i2 ... il]`` terms joined by ``+``
 or ``-``, one integer per factor, with ``k`` optional:
@@ -270,6 +274,7 @@ def boundary(chain: Chain) -> Chain:
     for mon, coef in chain.terms.items():
         hits = faces.get(mon)
         if hits is None:
+            _validate_monomial(group, mon, chain.degree)
             hits = _faces(group, mon)
             if all(type(i) is int for i in mon):
                 faces[mon] = hits

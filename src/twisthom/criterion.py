@@ -82,11 +82,14 @@ a tested task adds, so the four counts depend on (group, n) alone, and a
 remembered failure goes to the ordered pass like a fresh one, so the
 witness does not depend on the memo either.
 
-Any other product is tested by the block rule of
-:mod:`~twisthom.homology` in its one target block, the block that
-``product_block_key`` reads off the two keys: its terms are placed there
-with one position-table lookup each, it is checked as a cycle there and
-bounds iff the block's gcd divides the gcd of its coefficients.
+Any other product is a cycle of its one target block, the block that
+``product_block_key`` reads off the two keys: products of cycles are
+cycles and j is a chain map.  So the block rule of
+:mod:`~twisthom.homology` (:func:`~twisthom.homology.block_order`)
+decides it there from the gcd g of the block's coefficients alone: the
+product has order g / gcd(g, content) and bounds iff that is 1, and a
+witness's chi has the order of its failing product.  The decision never
+presents H_2n.
 
 ``theorem_cover`` is the purely syntactic companion: it recognizes the
 group shapes and degree ranges for which vanishing is guaranteed without
@@ -97,17 +100,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 
-from .chains import Chain, product_block_key
+from .chains import Chain, block_pairing, product_block_key
 from .groups import GroupSpec
 from .homology import (
     HomologyClass,
     _prime_power_split,
     as_degree,
-    class_order,
+    block_order,
     format_order,
     generating_cycles,
     homology,
+    reduce_cycle,
 )
 from .pontryagin import inversion_chain, wedge
 
@@ -186,9 +191,7 @@ def chi_chain(cycle: Chain) -> Chain:
 
 def chi_square(c: HomologyClass) -> HomologyClass:
     """The class of z ^ j(z) in H_{2n}, independent of the representative z."""
-    h = c.presentation
-    value = chi_chain(h.representative(c))
-    return homology(h.group, 2 * h.degree).reduce(value)
+    return reduce_cycle(chi_chain(c.representative()))
 
 
 def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
@@ -197,9 +200,12 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     Runs the finite bilinear reduction over generating cycles.  Cross
     terms use the identity z_j ^ j(z_i) = (-1)^n j(z_i ^ j(z_j)), valid
     because j is an algebra map and the product is graded-commutative at
-    chain level, so each pair costs one product and one test by the block
-    rule in its target block, unless a skip rule of the module docstring
-    shows the product is zero or its task is an orbit-mate of one tested.
+    chain level, so each pair costs one product, unless a skip rule of the
+    module docstring shows the product is zero or its task is an
+    orbit-mate of one tested.  The product is a cycle of its target block,
+    since products of cycles are cycles and j is a chain map, so the block
+    rule there decides whether it bounds and gives a witness's chi order;
+    no presentation of H_2n is built.
 
     The generating cycles are grouped by block key, in generator order,
     and each unordered block pair {A, B} is one task: the diagonals and
@@ -214,25 +220,25 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     """
     n = as_degree(n)
     h = homology(group, n)
-    h2 = homology(group, 2 * n)
     gens = generating_cycles(group, n)
     jgens: dict = {}
     sign = -1 if n % 2 else 1
 
-    def unbounded(i: int, j: int) -> Chain | None:
-        """z_i ^ j(z_j), symmetrized when i != j, or None when it bounds."""
+    def pair_order(i: int, j: int, key) -> int:
+        """The order of z_i ^ j(z_j), symmetrized when i != j, by the block
+        rule of its target block ``key``."""
         jz = jgens.get(j)
         if jz is None:
             jz = jgens[j] = inversion_chain(gens[j])
         value = wedge(gens[i], jz)
         if i != j and not value.is_zero:
             value = value + sign * inversion_chain(value)
-        return None if value.is_zero or h2._order(value) == 1 else value
+        return block_order(gcd(*block_pairing(group, key)[1]), value.terms)
 
-    counts = _orbit_pass(group, n, h._layout, unbounded)
+    counts = _orbit_pass(group, n, h._layout, pair_order)
     if counts is None:
         keys = [key for key, ids in h._layout.items() for _ in ids]
-        return _ordered_pass(group, n, gens, keys, unbounded)
+        return _ordered_pass(group, n, gens, keys, pair_order)
     return Verdict(VANISHES, group, n, generators=len(gens), **counts)
 
 
@@ -277,10 +283,11 @@ _TASKS: dict[tuple, bool] = {}
 _MAX_TASKS = 1 << 14
 
 
-def _orbit_pass(group: GroupSpec, n: int, blocks: dict, unbounded) -> dict | None:
+def _orbit_pass(group: GroupSpec, n: int, blocks: dict, pair_order) -> dict | None:
     """The counts of the pass over task orbits under the three skip rules,
     or None when a tested task fails; ``blocks`` maps each block key to
-    the range of its generators."""
+    the range of its generators, and ``pair_order(i, j, key)`` is the
+    order of the pair's product in its target block ``key``."""
     types = tuple(map(_slot_type, group.orders, group.signs))
     orbits: dict = {}
     for key in blocks:
@@ -317,7 +324,7 @@ def _orbit_pass(group: GroupSpec, n: int, blocks: dict, unbounded) -> dict | Non
             if passes is None:
                 pairs = (itertools.chain(zip(ia, ia), itertools.combinations(ia, 2)) if a == b
                          else itertools.product(ia, ib))
-                passes = _TASKS[form] = all(unbounded(i, j) is None for i, j in pairs)
+                passes = _TASKS[form] = all(pair_order(i, j, key) == 1 for i, j in pairs)
                 if len(_TASKS) > _MAX_TASKS:
                     del _TASKS[next(iter(_TASKS))]
             if not passes:
@@ -325,9 +332,11 @@ def _orbit_pass(group: GroupSpec, n: int, blocks: dict, unbounded) -> dict | Non
     return counts
 
 
-def _ordered_pass(group: GroupSpec, n: int, gens, keys, unbounded) -> Verdict:
+def _ordered_pass(group: GroupSpec, n: int, gens, keys, pair_order) -> Verdict:
     """Diagonals first, then pairs i < j, under the free and degree rules;
-    the first pair whose product does not bound gives the witness."""
+    the first pair whose product does not bound gives the witness.  The
+    witness's chi has that product's order: for z_i + z_j it adds the two
+    diagonals, which this pass has already seen bound or vanish."""
     m = len(gens)
     counts = dict.fromkeys(_COUNTS, 0)
     for i, j in itertools.chain(zip(range(m), range(m)), itertools.combinations(range(m), 2)):
@@ -337,12 +346,11 @@ def _ordered_pass(group: GroupSpec, n: int, gens, keys, unbounded) -> Verdict:
             counts[rule] += 1
             continue
         counts["pairs_formed"] += 1
-        value = unbounded(i, j)
-        if value is not None:
+        order = pair_order(i, j, key)
+        if order != 1:
             witness = gens[i] if i == j else gens[i] + gens[j]
-            chi = value if i == j else chi_chain(witness)
-            return Verdict(NONZERO_WITNESS, group, n, witness=witness, chi_chain=chi,
-                           chi_order=class_order(chi), generators=m,
+            return Verdict(NONZERO_WITNESS, group, n, witness=witness,
+                           chi_chain=chi_chain(witness), chi_order=order, generators=m,
                            failing_pair=(i, j), failing_block=key, **counts)
     return Verdict(VANISHES, group, n, generators=m, **counts)
 

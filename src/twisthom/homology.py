@@ -23,8 +23,8 @@ invalid monomial is refused whatever the table holds.  Each local vector
 is checked as a cycle on its block's Koszul columns, touching only the
 blocks the chain's terms lie in.  ``reduce`` reads a cycle's coordinates
 off the coordinate rows into its blocks' generator ranges; a class's
-order, and so whether it bounds, needs no coordinates.  Presentations are cached per
-``(group, n)`` and compare equal when ``(group, n)`` is equal.
+order, and so whether it bounds, needs no coordinates.  Presentations are
+cached per ``(group, n)`` and compare equal when ``(group, n)`` is equal.
 
 The block rule.  Let g = gcd(c) in K(c) (g = 0 when no slot is paired),
 and let the cycle z of K(c) have content k, the gcd of its coefficients.
@@ -38,8 +38,12 @@ Then the class of z has order g / gcd(g, k), with 0 for infinite:
 3. For g = 0 the block is Z in degree 0 with zero differential, and a
    nonzero cycle has infinite order.
 
-``class_order`` is the lcm of the rule over the blocks a chain touches,
-and a chain bounds iff it is zero or a cycle of order 1.
+:func:`block_order` is the rule, and the one place it is computed.
+``class_order`` is its lcm over the blocks a chain touches, after the
+cycle check, and a chain bounds iff it is zero or a cycle of order 1.
+The vanishing pass of :mod:`~twisthom.criterion` applies it to products
+it knows to be cycles of one block, with g read off the block's
+coefficients, so it needs no presentation of their degree.
 
 >>> from .groups import parse_group_spec
 >>> g = parse_group_spec("Z_2 x Z_2")
@@ -348,16 +352,6 @@ class HomologyPresentation:
             raise NotACycleError("chain has nonzero boundary")
         return kos
 
-    def _order(self, chain: Chain) -> int:
-        """Order of the chain's class, the lcm over its blocks of the block
-        rule g / gcd(g, content); 0 stands for infinite.  Raises
-        ``NotACycleError`` unless the chain is a cycle."""
-        orders = []
-        for key, vec in self._parts(chain).items():
-            g = self._local(key, vec).g
-            orders.append(g // gcd(g, *vec.values()))
-        return lcm(*orders)
-
     def zero(self) -> HomologyClass:
         return HomologyClass(self, (0,) * self.free_rank, (0,) * len(self.torsion_divisors))
 
@@ -447,11 +441,25 @@ def reduce_cycle(chain: Chain) -> HomologyClass:
     return homology(chain.group, chain.degree).reduce(chain)
 
 
+def block_order(g: int, vec: dict) -> int:
+    """The block rule: the order of a cycle of a Koszul block whose
+    coefficients have gcd ``g``, given by its coefficients ``vec`` (any
+    mapping), g / gcd(g, content); 1 for the zero vector, 0 for infinite.
+
+    >>> block_order(6, {0: 4, 1: -2}), block_order(0, {0: 3}), block_order(0, {})
+    (3, 0, 1)
+    """
+    return g // gcd(g, *vec.values()) if vec else 1
+
+
 def class_order(chain: Chain) -> int:
     """Order of the cycle's homology class; 0 stands for infinite.
 
-    The lcm of the block rule's orders over the blocks the chain touches."""
-    return homology(chain.group, chain.degree)._order(chain)
+    The lcm of :func:`block_order` over the blocks the chain touches.
+    Raises ``NotACycleError`` unless the chain is a cycle."""
+    h = homology(chain.group, chain.degree)
+    parts = h._parts(chain).items()
+    return lcm(*(block_order(h._local(key, vec).g, vec) for key, vec in parts))
 
 
 def is_boundary(chain: Chain) -> bool:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .chains import Chain, GroupMismatchError, _table
+from .chains import Chain, GroupMismatchError, _table, _validate_monomial
 
 
 def _atomic_wedge(order: int, a: int, b: int) -> int:
@@ -105,6 +105,7 @@ def inversion_chain(chain: Chain) -> Chain:
     for mon, coef in chain.terms.items():
         mult = mults.get(mon)
         if mult is None:
+            _validate_monomial(group, mon, chain.degree)
             mult = mults[mon] = _inversion_multiplier(group, mon)
         out[mon] = coef * mult
     return Chain(group, chain.degree, out)

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from support import ORACLE_GROUPS, PROPERTY_GROUPS, G, random_chain
-from twisthom import CapExceededError, InfiniteGroupError, bar, homology_type
+from twisthom import AbelianType, CapExceededError, InfiniteGroupError, bar, homology_type
 from twisthom.bar import (
     BarChain,
     bar_boundary,
@@ -224,6 +224,31 @@ def test_caps():
         chi_profile("bar", G("Z_3"), 3, cap=100)
 
 
+def test_a_refused_call_leaves_the_complexes_unchanged():
+    # The cap is checked at the top degree before any extension, so a
+    # chi profile refused at degree 2n+1 does not first build Z_3 through
+    # n+1 and leave that complex cached.
+    bar._COMPLEXES.clear()
+    with pytest.raises(CapExceededError, match="bar degree 7 needs 2187 basis elements"):
+        chi_profile("bar", G("Z_3"), 3, cap=100)
+    assert bar._COMPLEXES == {}
+    bar_homology(G("Z_3"), 1)
+    before = {g: cx.top for g, cx in bar._COMPLEXES.items()}
+    for refused in (lambda: chi_profile("bar", G("Z_3"), 3, cap=100),
+                    lambda: bar_homology(G("Z_3"), 6, cap=100)):
+        with pytest.raises(CapExceededError):
+            refused()
+        assert {g: cx.top for g, cx in bar._COMPLEXES.items()} == before
+
+
+def test_shuffle_product_refuses_mixed_groups_and_negative_degrees_are_zero():
+    a = BarChain(G("Z_2"), 1, {((1,),): 1})
+    b = BarChain(G("Z_3"), 1, {((1,),): 1})
+    with pytest.raises(ValueError, match="different groups"):
+        shuffle_product(a, b)
+    assert bar_homology(G("Z_3"), -1) == AbelianType.zero()
+
+
 def test_window_cache_is_bounded():
     # One reduced complex per group; the bound counts groups.
     bar._COMPLEXES.clear()
@@ -357,7 +382,7 @@ def test_lifted_classes_and_their_chi_values_are_cycles(group):
     identity = tuple(0 for _ in g.factors)
     n = 0
     while g.group_order ** (2 * n + 1) <= 60000:
-        cx = bar._complex(g, (2 * n, 2 * n + 1), 60000)
+        cx = bar._complex(g, 2 * n + 1, 60000)
         for residues in itertools.product(*(range(d) for d in cx.pres[n].torsion)):
             z = cx.lift(n, (), residues)
             assert all(identity in key for key in bar_boundary(z).terms), (n, residues)
@@ -455,7 +480,7 @@ def test_lifted_classes_are_pinned():
         g = G(group)
         n = 0
         while g.group_order ** (2 * n + 1) <= 60000:
-            cx = bar._complex(g, (2 * n, 2 * n + 1), 60000)
+            cx = bar._complex(g, 2 * n + 1, 60000)
             for residues in itertools.product(*(range(d) for d in cx.pres[n].torsion)):
                 z = cx.lift(n, (), residues)
                 chi = cx.class_coords(shuffle_product(z, bar_inversion(z)))

@@ -1,5 +1,6 @@
 """Command line interface: output shapes and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -194,6 +195,19 @@ def test_verify_paper(capsys):
     assert out.count("PASS  ex:") == 10
     assert "10/10 PASS" in out
     assert "FAIL" not in out
+
+
+def test_verify_paper_prints_a_failing_example_and_exits_1(capsys, monkeypatch):
+    from twisthom import golden
+
+    doctored = dataclasses.replace(golden.GOLDEN[1], order=9)
+    monkeypatch.setattr("twisthom.golden.GOLDEN", (golden.GOLDEN[0], doctored))
+    code, out, _ = invoke(capsys, "verify-paper")
+    assert code == 1
+    assert out.splitlines() == ["PASS  ex:cond_a: Z^4, degree 2",
+                                "FAIL  ex:cond_b: Z^3 x Z_3, degree 3",
+                                "      order mismatch: got 3, want 9",
+                                "1/2 PASS"]
 
 
 def test_verify_paper_list(capsys):

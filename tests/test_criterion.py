@@ -1,6 +1,7 @@
 """Vanishing criterion: chi classes, theorem coverage, verdict prose."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from twisthom import (
     format_chain,
     interpret,
     inversion_chain,
+    is_cycle,
     j_star,
     parse_chain,
     reduce_cycle,
@@ -37,9 +39,9 @@ from twisthom import (
     wedge,
 )
 from twisthom import criterion
-from twisthom.chains import basis
+from twisthom.chains import basis, block_key, block_pairing, product_block_key
 from twisthom.criterion import _slot_type
-from twisthom.homology import homology, homology_type
+from twisthom.homology import block_order, class_order, generating_cycles, homology, homology_type
 
 
 def test_j_star_sign_on_free_classes():
@@ -426,6 +428,61 @@ def test_verdicts_do_not_depend_on_the_task_memo(monkeypatch):
     evicting = [_verdict_record(vanishes_for_all(g, n)) for g, n in cells]
     assert len(criterion._TASKS) <= 1
     assert filling == cold and warm == cold and evicting == cold
+
+
+@pytest.mark.parametrize("group, n, kind", [("Z^4", 2, "NonzeroWitness"),
+                                            ("Z^3 x Z_3", 3, "NonzeroWitness"),
+                                            ("Z^3", 3, "Vanishes"),
+                                            ("Z_2 x Z_2 x Z_2", 3, "Vanishes")])
+def test_the_pass_presents_degree_n_only(group, n, kind, monkeypatch):
+    # Each product is decided by the block rule of its target block, so
+    # the pass builds no presentation of H_2n, whether it finds a witness
+    # or not.
+    monkeypatch.setattr(criterion, "_TASKS", {})
+    homology.cache_clear()
+    verdict = vanishes_for_all(G(group), n)
+    assert verdict.kind == kind
+    assert homology.cache_info().currsize == 1
+    hits = homology.cache_info().hits
+    homology(G(group), n)
+    assert homology.cache_info().hits == hits + 1
+
+
+def _guard_cells() -> list[tuple[GroupSpec, int]]:
+    """The mixed-slot and twisted families, and the sharpness cells with
+    at most 60 generating cycles, each cell once."""
+    sharp = [(G(text), n) for text, n in SHARPNESS_CELLS
+             if len(generating_cycles(G(text), n)) <= 60]
+    assert len(sharp) == 8
+    return list(dict.fromkeys(mixed_slot_family() + twisted_cells() + sharp))
+
+
+def test_products_are_cycles_of_their_target_block_with_the_block_rule_order():
+    # What the pass relies on: for every pair the free and degree rules
+    # let through, the symmetrized product is a cycle, lies wholly in the
+    # block product_block_key names, and has the order the block rule
+    # gives from that block's gcd alone.
+    pairs = unbounded = 0
+    for g, n in _guard_cells():
+        gens = generating_cycles(g, n)
+        keys = [block_key(g, next(iter(z.terms))) for z in gens]
+        jgens = [inversion_chain(z) for z in gens]
+        sign = -1 if n % 2 else 1
+        m = len(gens)
+        for i, j in itertools.chain(zip(range(m), range(m)), itertools.combinations(range(m), 2)):
+            key = product_block_key(g, keys[i], keys[j])
+            if key is None or sum(key) > 2 * n:
+                continue
+            value = wedge(gens[i], jgens[j])
+            if i != j:
+                value = value + sign * inversion_chain(value)
+            assert is_cycle(value)
+            assert all(block_key(g, mon) == key for mon in value.terms)
+            order = block_order(math.gcd(*block_pairing(g, key)[1]), value.terms)
+            assert order == class_order(value), (g, n, i, j)
+            pairs += 1
+            unbounded += order != 1
+    assert (pairs, unbounded) == (39087, 10885)
 
 
 def _inclusion_family() -> list[tuple[GroupSpec, int]]:

@@ -38,6 +38,7 @@ from twisthom.homology import (
     HomologyClass,
     _koszul,
     _koszul_columns,
+    block_order,
     generating_cycles,
     homology,
     is_boundary,
@@ -483,3 +484,48 @@ def test_homology_type_is_invariant_under_factor_permutation():
             assert [homology(permuted, n).abelian_type() for n in range(5)] == types, factors
             seen += 5
     assert seen == 935
+
+
+def test_presentation_entry_points_refuse_foreign_inputs():
+    g = G("Z_2 x Z_2")
+    with pytest.raises(ValueError, match="nonnegative"):
+        homology(g, -1)
+    h1, h2 = homology(g, 1), homology(g, 2)
+    z = generating_cycles(g, 1)[0]
+    for chain in (Chain(G("Z_2 x Z_4"), 1, dict(z.terms)), Chain(g, 2, {(1, 1): 1})):
+        with pytest.raises(ValueError, match="does not live where"):
+            h1.reduce(chain)
+    with pytest.raises(ValueError, match="different presentation"):
+        h1.representative(h2.generator(0))
+    with pytest.raises(ValueError, match="arity"):
+        HomologyClass(h1, (), (1,))
+    with pytest.raises(ValueError, match="different presentations"):
+        h1.generator(0) + h2.generator(0)
+
+
+def test_class_subtraction_adds_the_negative():
+    h = homology(G("Z x Z_6"), 1)
+    assert (h.free_rank, h.torsion_divisors) == (1, (6,))
+    t, f = h.generators()
+    a, b = 3 * f + 5 * t, 7 * f + 4 * t
+    assert a - b == a + (-b) == HomologyClass(h, (-4,), (1,))
+    assert (a - b) + b == a and (a - a).is_zero
+
+
+def test_abelian_type_is_zero():
+    assert AbelianType.zero().is_zero
+    assert homology_type(G("Z_3"), 2).is_zero
+    assert not homology_type(G("Z_3"), 1).is_zero
+    assert not AbelianType(1, ()).is_zero
+
+
+def test_block_order_is_the_rule_class_order_applies():
+    # Z_4 x Z_6: [1 1] spans degree 0 of K(4, -6), where g = 2; in degree
+    # 3, [3 0] spans degree 0 of K(4) and [0 3] of K(6).
+    g = G("Z_4 x Z_6")
+    assert block_order(2, {0: 1}) == 2 == class_order(parse_chain(g, "[1 1]"))
+    assert block_order(2, {0: 6}) == 1 == class_order(parse_chain(g, "6*[1 1]"))
+    assert block_order(0, {0: -5}) == 0 == class_order(parse_chain(G("Z"), "-5*[0]"))
+    assert block_order(0, {}) == block_order(4, {}) == 1 == class_order(zero_chain(g, 2))
+    mixed = parse_chain(g, "[3 0] + 2*[0 3]")
+    assert class_order(mixed) == math.lcm(4, block_order(6, {0: 2})) == 12

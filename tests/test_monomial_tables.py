@@ -3,10 +3,11 @@
 ``boundary``, ``inversion_chain`` and the reduction entry points
 (``reduce``, ``class_order``, ``is_boundary``) read each monomial's faces,
 inversion multiplier and (block key, local position) from a table per
-(group, degree), filled on first use.  These tests check that a cold, a
-warm and a constantly evicted store give the same answers, that the store
-keeps its bound, that stored entries equal a per-slot reference, and that
-stored valid monomials never let an invalid one through.
+(group, degree), filled on first use after the monomial is validated.
+These tests check that a cold, a warm and a constantly evicted store give
+the same answers, that the store keeps its bound, that stored entries
+equal a per-slot reference, and that stored valid monomials never let an
+invalid one through.
 """
 
 import random
@@ -30,6 +31,7 @@ from twisthom import (
     basis,
     boundary,
     format_chain,
+    is_cycle,
     monomial_chain,
     parse_chain,
 )
@@ -124,6 +126,30 @@ def test_invalid_monomials_are_refused_after_valid_ones_are_stored():
     # Validation reads values only, so a tuple equal to a stored monomial
     # gets the answer validation gives it.
     assert class_order(Chain(g, 2, {(True, 1): 3})) == class_order(parse_chain(g, "3*[1 1]"))
+
+
+def test_faces_and_multipliers_refuse_invalid_monomials():
+    # Every table validates a monomial on a miss before it computes and
+    # stores the entry.  inversion_chain used to give the float 0.5 for
+    # [-3] over Z_3, and boundary of the first chain over Z x Z_3 was 0.
+    g = G("Z x Z_3")
+    invalid = ((Chain(G("Z_3"), -3, {(-3,): 1}), InvalidMonomialError),
+               (Chain(G("Z_7 x Z_3"), 0, {(-3, 3): 3}), InvalidMonomialError),
+               (Chain(g, 7, {(5, 1): 1, (0, 0, 0): 2}), InvalidMonomialError),
+               (Chain(g, 2, {(0, 2): 1, (0, 3): 1}), DegreeMismatchError))
+    for warm in (False, True):
+        chains._TABLES.clear()
+        if warm:  # every valid monomial of Z x Z_3 in degrees 2 and 7 stored
+            for n in (2, 7):
+                z = Chain(g, n, dict.fromkeys(basis(g, n), 1))
+                boundary(z), inversion_chain(z)
+        for chain, error in invalid:
+            for call in (boundary, is_cycle, inversion_chain):
+                with pytest.raises(error):
+                    call(chain)
+        for (group, n), table in chains._TABLES.items():
+            assert set(table.faces) <= set(basis(group, n))
+            assert set(table.inversion) <= set(basis(group, n))
 
 
 def test_boundary_of_an_equal_monomial_of_other_types_leaves_no_trace():
