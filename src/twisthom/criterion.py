@@ -222,6 +222,7 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     h = homology(group, n)
     gens = generating_cycles(group, n)
     jgens: dict = {}
+    block_gcds: dict = {}
     sign = -1 if n % 2 else 1
 
     def pair_order(i: int, j: int, key) -> int:
@@ -233,7 +234,10 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
         value = wedge(gens[i], jz)
         if i != j and not value.is_zero:
             value = value + sign * inversion_chain(value)
-        return block_order(gcd(*block_pairing(group, key)[1]), value.terms)
+        g = block_gcds.get(key)
+        if g is None:
+            g = block_gcds[key] = gcd(*block_pairing(group, key)[1])
+        return block_order(g, value.terms)
 
     counts = _orbit_pass(group, n, h._layout, pair_order)
     if counts is None:

@@ -42,3 +42,32 @@ def test_summary_of_canned_pairs():
 def test_a_run_without_a_result_line_is_refused(stdout):
     with pytest.raises(bench_pairs.NoResultError):
         bench_pairs.parse_result(stdout)
+
+
+def test_main_runs_this_interpreter_for_the_benchmark_run_length(tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 25, "end_to_end": END_TO_END}))
+    calls = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        calls.append((cmd, Path(cwd).name))
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, stdout=_line(1.0, 30.0) + "\n",
+                                                       stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "sweep"]) == 0
+    assert [side for _, side in calls[:4]] == ["parent", "change", "change", "parent"]
+    assert len(calls) == 2 * bench_pairs.MIN_PAIRS
+    for cmd, side in calls:
+        assert cmd == [bench_pairs.sys.executable, str(tmp_path / side / "perfbench" / "run.py"),
+                       "--workload", "sweep", "--seed", "7", "--seconds", "25", "--trace", "0"]
+    assert capsys.readouterr().out.startswith("workload sweep  seed 7  pairs 10  seconds 25\n")
+
+
+@pytest.mark.parametrize("argv", [["--pairs", "9"], ["--seconds", "10"]])
+def test_main_refuses_fewer_pairs_or_another_run_length(argv):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["parent", "change", "--workload", "sweep", *argv])

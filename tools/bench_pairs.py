@@ -1,14 +1,16 @@
 """Alternated parent/change runs of one benchmark workload, summarized.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--seed 7] [--pairs 10] [--seconds 25]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--seed 7] [--pairs 10]
 
 PARENT and CHANGE are two checkouts of the repository.  Each pair runs
 
-    python3 <checkout>/perfbench/run.py --workload W --seed S --seconds T --trace 0
+    <this interpreter> <checkout>/perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 once per side, one process at a time, the parent first in odd pairs and
 the change first in even ones, and reads the JSON result on the last
-line of each run's standard output.  For each end-to-end metric of the
+line of each run's standard output.  T is the ``run_seconds`` of the
+parent's ``BENCHMARK.json``, the same for both sides, and a summary
+takes at least 10 pairs.  For each end-to-end metric of the
 parent's ``BENCHMARK.json`` it then prints the parent's median [first
 and third quartile] -> the change's, the relative change of the medians,
 the pairs in which the change's value was lower, and whether the
@@ -26,6 +28,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+MIN_PAIRS = 10
 
 
 class NoResultError(RuntimeError):
@@ -45,7 +49,7 @@ def parse_result(stdout: str) -> dict:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
-    cmd = ["python3", os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
+    cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     try:
@@ -85,24 +89,31 @@ def summarize(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[st
     return lines
 
 
+def _pair_count(text: str) -> int:
+    k = int(text)
+    if k < MIN_PAIRS:
+        raise argparse.ArgumentTypeError(f"at least {MIN_PAIRS} pairs, got {k}")
+    return k
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--pairs", type=_pair_count, default=MIN_PAIRS)
     args = parser.parse_args(argv)
     with open(os.path.join(args.parent, "BENCHMARK.json")) as fh:
-        end_to_end = json.load(fh)["end_to_end"]
+        bench = json.load(fh)
+    end_to_end, seconds = bench["end_to_end"], bench["run_seconds"]
     pairs = []
     try:
         for k in range(1, args.pairs + 1):
             order = ("parent", "change") if k % 2 else ("change", "parent")
             got = {}
             for side in order:
-                got[side] = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+                got[side] = run_once(getattr(args, side), args.workload, args.seed, seconds)
                 run_s = got[side]["metrics"]["run_s"]["value"]
                 print(f"pair {k} {side}: run_s {run_s:.4g}", file=sys.stderr, flush=True)
             pairs.append((got["parent"], got["change"]))
@@ -110,7 +121,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 1
     print(f"workload {args.workload}  seed {args.seed}  pairs {args.pairs}  "
-          f"seconds {args.seconds}")
+          f"seconds {seconds}")
     print("\n".join(summarize(end_to_end, pairs)))
     return 0
 
