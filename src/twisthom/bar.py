@@ -10,17 +10,17 @@ differential, the shuffle product, the inversion and the reduction here
 are independent of the small complex.  Basis sizes grow like |G|^k, so
 every entry point takes a cap and refuses to materialize anything larger.
 
-The workhorse is one reduced complex per group, extended one
-differential at a time, lowest degree first.  Each d_k is built once
-and reduced by cancelling unit entries (Gaussian reduction of based
-complexes): plain sweeps over the columns, each cancelling a column's
-unit in its shortest row, repeated until a sweep finds none.  Each
-differential keeps one pivot log: its row halves lift generators of
-H_k back to honest bar cycles, its column halves push cycles of
-H_{k-1} into the reduced basis.  H_{k-1} is presented as soon as d_k is
-reduced.  The complex is built on the normalized subquotient (tuples
-with no identity entries), which has the same homology on a basis of
-(|G|-1)^k elements instead of |G|^k.
+The workhorse is one reduced complex per group, kept by ``_reduced`` (an
+``lru_cache`` of 16 groups) and extended one differential at a time,
+lowest degree first.  Each d_k is built once and reduced by cancelling
+unit entries (Gaussian reduction of based complexes): plain sweeps over
+the columns, each cancelling a column's unit in its shortest row,
+repeated until a sweep finds none.  Each differential keeps one pivot
+log: its row halves lift generators of H_k back to honest bar cycles,
+its column halves push cycles of H_{k-1} into the reduced basis.
+H_{k-1} is presented as soon as d_k is reduced.  The complex is built on
+the normalized subquotient (tuples with no identity entries), which has
+the same homology on a basis of (|G|-1)^k elements instead of |G|^k.
 
 That basis is coded: with b = |G|-1, the nontrivial elements get the
 codes 0..b-1 in the order of ``elements``, and a k-tuple is the base-b
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .chains import _Combination
 from .criterion import chi_chain
@@ -107,10 +108,10 @@ class BarChain(_Combination):
             raise InfiniteGroupError("bar computations need a finite group")
         orders = self.group.orders
         for key in self.terms:
-            if len(key) != self.degree:
-                raise ValueError("bar tuple length disagrees with the degree")
-            if any(len(g) != len(orders) or not all(0 <= e < o for e, o in zip(g, orders))
-                   for g in key):
+            if not isinstance(key, tuple) or len(key) != self.degree:
+                raise ValueError("bar key is not a tuple of the degree's length")
+            if any(not isinstance(g, tuple) or len(g) != len(orders)
+                   or not all(0 <= e < o for e, o in zip(g, orders)) for g in key):
                 raise ValueError("bar tuple entry is not an element of the group")
         super().__post_init__()
 
@@ -420,10 +421,12 @@ class _Complex:
         return BarChain(self.group, n, {self.decode(n, i): v for i, v in vec.items()})
 
 
-# Reduced complexes by group, oldest first.  Past _MAX_COMPLEXES the
-# oldest is dropped; the oracle comparison uses 7 groups.
-_COMPLEXES: dict[GroupSpec, _Complex] = {}
-_MAX_COMPLEXES = 16
+@lru_cache(maxsize=16)
+def _reduced(group: GroupSpec) -> _Complex:
+    """The group's reduced complex, built empty the first time and
+    extended in place by :func:`_complex`; the oracle comparison uses 7
+    groups."""
+    return _Complex(group)
 
 
 def _complex(group: GroupSpec, top: int, cap: int) -> _Complex:
@@ -433,11 +436,7 @@ def _complex(group: GroupSpec, top: int, cap: int) -> _Complex:
     size = group.group_order ** top
     if size > cap:
         raise CapExceededError(f"bar degree {top} needs {size} basis elements, cap is {cap}")
-    cx = _COMPLEXES.get(group)
-    if cx is None:
-        cx = _COMPLEXES[group] = _Complex(group)
-        if len(_COMPLEXES) > _MAX_COMPLEXES:
-            del _COMPLEXES[next(iter(_COMPLEXES))]
+    cx = _reduced(group)
     while cx.top < top:
         cx._extend()
     return cx

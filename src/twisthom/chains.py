@@ -17,23 +17,25 @@ of the degrees strictly before that slot.
 
 Per-monomial tables.  The law checks meet the same monomials again and
 again, so each monomial's data is computed once per (group, degree) and
-kept in that pair's table: its faces under the differential with their
-signed coefficients (read by :func:`boundary`), the integer j multiplies
-it by (read by ``pontryagin.inversion_chain``), and its block key and
-local Koszul position (written by ``homology``, and read by ``reduce``,
-``class_order`` and ``is_boundary``).  All three follow one rule: on a
-miss, the monomial is validated against the group and the chain's
-degree (:func:`_validate_monomial`) before its entry is computed and
-stored, so a monomial outside the basis is refused with
-``InvalidMonomialError`` or ``DegreeMismatchError`` whatever the table
-holds.  The store is keyed by (group, degree), holds at most
-``_MAX_TABLES`` (32) tables and drops the oldest past that.  No answer
-depends on its state: an entry is stored only after the same computation
-and validation a cold call makes, and is a function of the monomial's
-values alone, so a cold, a warm and an evicted table give equal answers.
-Faces are stored only for monomials of plain ints, so an equal tuple of
-other types, such as ``(True, 2)``, never puts its entries into the
-faces of ``(1, 2)``.
+kept in a table of that pair, owned by the module that reads it: its
+faces under the differential with their signed coefficients in
+:func:`_faces_table` (read by :func:`boundary`), the integer j
+multiplies it by in ``pontryagin._multiplier_table`` (read by
+``inversion_chain``), and its block key and local Koszul position in the
+presentation's ``_positions`` (read by ``reduce``, ``class_order`` and
+``is_boundary``).  All three follow one rule: on a miss, the monomial is
+validated against the group and the chain's degree
+(:func:`_validate_monomial`) before its entry is computed and stored, so
+a monomial outside the basis is refused with ``InvalidMonomialError`` or
+``DegreeMismatchError`` whatever the table holds.  The faces and
+multiplier tables are each an ``lru_cache`` of 32 (group, degree) pairs;
+the positions live as long as their cached presentation.  No answer
+depends on their state: an entry is stored only after the same
+computation and validation a cold call makes, and is a function of the
+monomial's values alone, so a cold, a warm and an evicted table give
+equal answers.  Faces are stored only for monomials of plain ints, so an
+equal tuple of other types, such as ``(True, 2)``, never puts its
+entries into the faces of ``(1, 2)``.
 
 Chain literals are written as ``k*[i1 i2 ... il]`` terms joined by ``+``
 or ``-``, one integer per factor, with ``k`` optional:
@@ -174,35 +176,11 @@ def _validate_monomial(group: GroupSpec, mon: Monomial, degree: int | None = Non
         raise DegreeMismatchError(f"term of degree {sum(mon)} in a degree-{degree} chain")
 
 
-class _Table:
-    """Per-monomial data of one (group, degree), each entry computed the
-    first time it is needed: a monomial's ``faces`` (read by
-    :func:`boundary`), its ``inversion`` multiplier (read by
-    ``pontryagin.inversion_chain``) and its ``position``, the pair (block
-    key, local Koszul position), written and read by ``homology``."""
-
-    __slots__ = ("faces", "inversion", "position")
-
-    def __init__(self):
-        self.faces: dict = {}
-        self.inversion: dict = {}
-        self.position: dict = {}
-
-
-# Tables by (group, degree), oldest first.  Past _MAX_TABLES the oldest is
-# dropped; the law checks over one group use about ten degrees at a time.
-_TABLES: dict[tuple[GroupSpec, int], _Table] = {}
-_MAX_TABLES = 32
-
-
-def _table(group: GroupSpec, degree: int) -> _Table:
-    """The table of (group, degree), made empty the first time."""
-    table = _TABLES.get((group, degree))
-    if table is None:
-        table = _TABLES[group, degree] = _Table()
-        if len(_TABLES) > _MAX_TABLES:
-            del _TABLES[next(iter(_TABLES))]
-    return table
+@lru_cache(maxsize=32)
+def _faces_table(group: GroupSpec, degree: int) -> dict:
+    """Monomial -> its faces, for the monomials of (group, degree) that
+    :func:`boundary` has met; made empty the first time."""
+    return {}
 
 
 @lru_cache(maxsize=4096)
@@ -269,7 +247,7 @@ def _faces(group: GroupSpec, mon: Monomial) -> tuple:
 def boundary(chain: Chain) -> Chain:
     """The differential.  Degree-0 chains map to the zero chain in degree -1."""
     group = chain.group
-    faces = _table(group, chain.degree).faces
+    faces = _faces_table(group, chain.degree)
     out: dict = {}
     for mon, coef in chain.terms.items():
         hits = faces.get(mon)

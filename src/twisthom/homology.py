@@ -15,16 +15,18 @@ coefficients have gcd 1 is exact: its presentation is empty and it holds
 no generators.  A presentation keeps one table of every block it meets,
 exact ones too, each built once, and ``_layout`` maps each block with
 homology to the range of its generators.  A chain is split into its
-blocks' local vectors with one lookup per monomial in the position table
-of :mod:`twisthom.chains`, which holds each monomial's block key and
-local Koszul position; a monomial met for the first time in its (group,
-degree) is validated, then its position is computed and stored, so an
-invalid monomial is refused whatever the table holds.  Each local vector
-is checked as a cycle on its block's Koszul columns, touching only the
-blocks the chain's terms lie in.  ``reduce`` reads a cycle's coordinates
-off the coordinate rows into its blocks' generator ranges; a class's
-order, and so whether it bounds, needs no coordinates.  Presentations are
-cached per ``(group, n)`` and compare equal when ``(group, n)`` is equal.
+blocks' local vectors with one lookup per monomial in the presentation's
+position table, which holds each monomial's block key and local Koszul
+position, one of the per-monomial tables of :mod:`twisthom.chains`; a
+monomial met for the first time is validated, then its position is
+computed and stored, so an invalid monomial is refused whatever the
+table holds, and the positions live as long as their presentation.  Each
+local vector is checked as a cycle on its block's Koszul columns,
+touching only the blocks the chain's terms lie in.  ``reduce`` reads a
+cycle's coordinates off the coordinate rows into its blocks' generator
+ranges; a class's order, and so whether it bounds, needs no coordinates.
+Presentations are cached per ``(group, n)`` and compare equal when
+``(group, n)`` is equal.
 
 The block rule.  Let g = gcd(c) in K(c) (g = 0 when no slot is paired),
 and let the cycle z of K(c) have content k, the gcd of its coefficients.
@@ -77,7 +79,6 @@ from math import comb, gcd, lcm
 from .chains import (
     Chain,
     ChainError,
-    _table,
     _validate_monomial,
     basis,
     block_key,
@@ -125,6 +126,7 @@ class HomologyClass:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "free", tuple(self.free))
         divisors = self.presentation.torsion_divisors
         if len(self.free) != self.presentation.free_rank or len(self.torsion) != len(divisors):
             raise ValueError("coordinate arity disagrees with the presentation")
@@ -242,8 +244,8 @@ class HomologyPresentation:
     ``_layout`` maps each block with homology to the range of its
     generators.  ``_parts`` turns a chain into one local vector per block
     it touches, reading each monomial's (block key, local position) from
-    the position table of its (group, degree) and filling it on first
-    sight after validation; ``reduce``, ``class_order`` and
+    ``_positions``, beside ``_blocks``, and filling it on first sight
+    after validation; ``reduce``, ``class_order`` and
     ``is_boundary`` all start there.  ``reduce`` sends a cycle to
     coordinates; ``representative`` lifts coordinates back to a cycle,
     and the two are mutually inverse up to boundaries.  Presentations are
@@ -254,6 +256,7 @@ class HomologyPresentation:
         self.group = group
         self.degree = degree
         self._blocks: dict = {}  # block key -> (slots, _Koszul), every block met
+        self._positions: dict = {}  # monomial -> (block key, local position), every one met
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HomologyPresentation)
@@ -320,13 +323,13 @@ class HomologyPresentation:
         """The chain's terms split by block, as block key -> local vector,
         refusing a chain from another group or degree, or with a monomial
         outside this degree's basis.  Each monomial costs one lookup in
-        the position table; one met for the first time is validated, then
-        its block key and local position are stored.  The differential
+        ``_positions``; one met for the first time is validated, then its
+        block key and local position are stored.  The differential
         keeps every block, so each part is a cycle when the chain is one."""
         group, n = self.group, self.degree
         if chain.group != group or chain.degree != n:
             raise ValueError("chain does not live where this presentation does")
-        positions = _table(group, n).position
+        positions = self._positions
         split: dict = {}
         for mon, coef in chain.terms.items():
             pos = positions.get(mon)

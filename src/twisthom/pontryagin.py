@@ -17,15 +17,18 @@ factor picks up (-1)^i when the factor is infinite untwisted, the factor
 order q gives (q-1)^ceil(i/2) when finite untwisted, and twisted factors
 of either kind are fixed.  These are the maps induced by g -> -g on the
 small resolutions, so the result is a chain map of degree zero.  Each
-monomial's multiplier is computed once per (group, degree) and kept in
-the per-monomial tables of :mod:`twisthom.chains`.
+monomial's multiplier is computed once per (group, degree), after the
+monomial is validated, and kept in that pair's table,
+:func:`_multiplier_table`, one of the per-monomial tables described in
+:mod:`twisthom.chains`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
-from .chains import Chain, GroupMismatchError, _table, _validate_monomial
+from .chains import Chain, GroupMismatchError, _validate_monomial
 
 
 def _atomic_wedge(order: int, a: int, b: int) -> int:
@@ -93,6 +96,13 @@ def _inversion_multiplier(group, mon) -> int:
     return mult
 
 
+@lru_cache(maxsize=32)
+def _multiplier_table(group, degree: int) -> dict:
+    """Monomial -> its multiplier, for the monomials of (group, degree)
+    that :func:`inversion_chain` has met; made empty the first time."""
+    return {}
+
+
 def inversion_chain(chain: Chain) -> Chain:
     """The chain map induced by inverting every group element.
 
@@ -100,7 +110,7 @@ def inversion_chain(chain: Chain) -> Chain:
     arise; on homology the induced map squares to the identity.
     """
     group = chain.group
-    mults = _table(group, chain.degree).inversion
+    mults = _multiplier_table(group, chain.degree)
     out: dict = {}
     for mon, coef in chain.terms.items():
         mult = mults.get(mon)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 from hypothesis import strategies as st
 
@@ -28,6 +29,18 @@ from twisthom.pontryagin import _atomic_inversion, inversion_chain, wedge
 
 def G(text: str) -> GroupSpec:
     return parse_group_spec(text)
+
+
+def clear_stores() -> None:
+    """Empty every store of the engine: each ``lru_cache`` defined in a
+    ``twisthom`` module (the presentations, and with them their position
+    tables, included) and the task memo of ``criterion``."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("twisthom."):
+            for value in vars(mod).values():
+                if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == name:
+                    value.cache_clear()
+    sys.modules["twisthom.criterion"]._TASKS.clear()
 
 
 # The three-way oracle grid: finite groups whose bar complex fits under a

@@ -59,6 +59,15 @@ def test_bar_chain_length_validation():
             BarChain(G(g), 1, terms)
 
 
+def test_bar_chain_refuses_keys_and_elements_that_are_not_tuples():
+    # BarChain(Z_2, 1, {(1,): 1}) used to fail with a bare TypeError
+    # (object of type 'int' has no len()).
+    for degree, terms in ((1, {(1,): 1}), (2, {((0,), 1): 1}), (1, {1: 1}), (1, {"a": 1})):
+        with pytest.raises(ValueError):
+            BarChain(G("Z_2"), degree, terms)
+    assert BarChain(G("Z_2"), 1, {((1,),): 1}).terms == {((1,),): 1}
+
+
 def test_bar_chain_scalars_must_be_ints():
     a = BarChain(G("Z_3"), 1, {((1,),): 1})
     with pytest.raises(TypeError):
@@ -188,7 +197,7 @@ def test_chi_profile_rejects_bad_input():
     for text in ("Z_3", "Z_2~"):
         g = G(text)
         for warm in (False, True):
-            bar._COMPLEXES.clear()
+            bar._reduced.cache_clear()
             if warm:
                 bar_homology(g, 3)
             for source in ("bar", "small"):
@@ -202,16 +211,19 @@ def test_bar_entry_points_refuse_a_non_integer_degree():
     # degree 3 before failing with a bare list-index TypeError, and
     # chi_profile("bar", Z_2, 1.5) failed the same way.  The degree is now
     # checked before any work, and a bool is read as its int.
-    bar._COMPLEXES.clear()
+    bar._reduced.cache_clear()
     bar_homology(G("Z_2"), 1)
-    before = {g: cx.top for g, cx in bar._COMPLEXES.items()}
+    top = bar._reduced(G("Z_2")).top
+    before = bar._reduced.cache_info()
     for n in (1.5, 1.0, "1"):
         for refused in (lambda: bar_homology(G("Z_3"), n),
                         lambda: chi_profile("bar", G("Z_2"), n),
                         lambda: chi_profile("small", G("Z_2"), n)):
             with pytest.raises(TypeError, match="homology degree must be an integer"):
                 refused()
-        assert {g: cx.top for g, cx in bar._COMPLEXES.items()} == before
+        # No complex was even looked up, so none was made or extended.
+        assert bar._reduced.cache_info() == before
+    assert bar._reduced(G("Z_2")).top == top
     assert bar_homology(G("Z_3"), True) == bar_homology(G("Z_3"), 1)
     for source in ("bar", "small"):
         assert chi_profile(source, G("Z_2"), True) == chi_profile(source, G("Z_2"), 1)
@@ -228,17 +240,21 @@ def test_a_refused_call_leaves_the_complexes_unchanged():
     # The cap is checked at the top degree before any extension, so a
     # chi profile refused at degree 2n+1 does not first build Z_3 through
     # n+1 and leave that complex cached.
-    bar._COMPLEXES.clear()
+    bar._reduced.cache_clear()
     with pytest.raises(CapExceededError, match="bar degree 7 needs 2187 basis elements"):
         chi_profile("bar", G("Z_3"), 3, cap=100)
-    assert bar._COMPLEXES == {}
+    info = bar._reduced.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
     bar_homology(G("Z_3"), 1)
-    before = {g: cx.top for g, cx in bar._COMPLEXES.items()}
+    top = bar._reduced(G("Z_3")).top
+    before = bar._reduced.cache_info()
     for refused in (lambda: chi_profile("bar", G("Z_3"), 3, cap=100),
                     lambda: bar_homology(G("Z_3"), 6, cap=100)):
         with pytest.raises(CapExceededError):
             refused()
-        assert {g: cx.top for g, cx in bar._COMPLEXES.items()} == before
+        # No complex was even looked up, so none was made or extended.
+        assert bar._reduced.cache_info() == before
+    assert bar._reduced(G("Z_3")).top == top
 
 
 def test_shuffle_product_refuses_mixed_groups_and_negative_degrees_are_zero():
@@ -251,15 +267,18 @@ def test_shuffle_product_refuses_mixed_groups_and_negative_degrees_are_zero():
 
 def test_window_cache_is_bounded():
     # One reduced complex per group; the bound counts groups.
-    bar._COMPLEXES.clear()
+    bar._reduced.cache_clear()
     cells = [(G(f"Z_{q}"), n) for q in range(2, 36) for n in (0, 1)]
-    assert len({g for g, _ in cells}) > bar._MAX_COMPLEXES
+    assert bar._reduced.cache_info().maxsize == 16
+    assert len({g for g, _ in cells}) > 16
     first = [bar_homology(g, n) for g, n in cells[:4]]
     for g, n in cells:
         bar_homology(g, n)
-        assert len(bar._COMPLEXES) <= bar._MAX_COMPLEXES
-    assert all(g not in bar._COMPLEXES for g, n in cells[:4])
+        assert bar._reduced.cache_info().currsize <= 16
+    misses = bar._reduced.cache_info().misses
     assert [bar_homology(g, n) for g, n in cells[:4]] == first
+    # The complexes of Z_2 and Z_3 had been dropped, so each was made again.
+    assert bar._reduced.cache_info().misses == misses + 2
     assert first == [homology_type(g, n) for g, n in cells[:4]]
 
 

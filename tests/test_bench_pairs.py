@@ -38,6 +38,31 @@ def test_summary_of_canned_pairs():
     ]
 
 
+def test_a_metric_wider_than_its_bound_is_unresolved_unless_every_run_beats_the_parent():
+    # The parent's run_s quartiles are 0.8 and 1.4 around a median of 1.0:
+    # a spread of 0.6, wider than 0.25 x 1.0.
+    metrics = [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "hits", "unit": "count", "better": "higher", "bound": 0.25}]
+
+    def result(run_s: float, hits: float) -> dict:
+        return {"attempted": 1, "failed": 0, "metrics": {"run_s": {"value": run_s},
+                                                         "hits": {"value": hits}}}
+
+    parent = [result(t, 10 * t) for t in (1.0, 1.5, 0.7, 1.4, 0.8)]
+    # (change runs, whether run_s and hits are marked).  run_s is better
+    # lower and hits higher, so runs that all beat the parent on one of
+    # them cannot on the other.
+    for change, marks in (([0.9, 1.0, 0.95, 1.0, 0.8], [True, True]),
+                          ([0.6, 0.5, 0.65, 0.6, 0.55], [False, True]),
+                          ([1.6, 2.0, 1.9, 1.8, 1.7], [True, False])):
+        pairs = list(zip(parent, [result(t, 10 * t) for t in change]))
+        lines = bench_pairs.summarize(metrics, pairs)
+        assert [line.endswith("  unresolved") for line in lines[:2]] == marks
+    steady = [result(1.0, 10.0)] * 5
+    lines = bench_pairs.summarize(metrics, list(zip(steady, steady)))
+    assert not any(line.endswith("unresolved") for line in lines)
+
+
 @pytest.mark.parametrize("stdout", ["", "benchmark failed: timeout\n", "{\"digest\": 1}\n"])
 def test_a_run_without_a_result_line_is_refused(stdout):
     with pytest.raises(bench_pairs.NoResultError):

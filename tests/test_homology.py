@@ -92,6 +92,17 @@ def test_homology_classes_refuse_non_integers():
     assert 2 * h.generator(0) == h.generator(0) + h.generator(0)
 
 
+def test_homology_classes_are_values_whatever_sequence_holds_the_coordinates():
+    # free was kept as given: HomologyClass(h, [1], [1]) differed from
+    # HomologyClass(h, (1,), (1,)) and hash() raised TypeError.
+    h = homology(G("Z x Z_2"), 1)
+    assert (h.free_rank, h.torsion_divisors) == (1, (2,))
+    a, b = HomologyClass(h, [1], [3]), HomologyClass(h, (1,), (1,))
+    assert a == b and hash(a) == hash(b)
+    assert a.free == (1,) and a.torsion == (1,)
+    assert len({a, b, h.generator(0) + h.generator(1)}) == 1
+
+
 def test_generator_refuses_a_non_integer_index():
     # generator(0.5) used to return the zero class and generator(1.0)
     # generator 1.

@@ -1,22 +1,27 @@
-"""The per-monomial tables of ``chains``: bounded, and never part of an answer.
+"""The per-monomial tables: bounded, and never part of an answer.
 
 ``boundary``, ``inversion_chain`` and the reduction entry points
 (``reduce``, ``class_order``, ``is_boundary``) read each monomial's faces,
 inversion multiplier and (block key, local position) from a table per
-(group, degree), filled on first use after the monomial is validated.
-These tests check that a cold, a warm and a constantly evicted store give
-the same answers, that the store keeps its bound, that stored entries
-equal a per-slot reference, and that stored valid monomials never let an
-invalid one through.
+(group, degree), filled on first use after the monomial is validated:
+``chains._faces_table`` and ``pontryagin._multiplier_table``, each an
+``lru_cache`` of 32 pairs, and the ``_positions`` of the cached
+presentation.  These tests check that a cold, a warm and a constantly
+evicted store give the same answers, that each store keeps its bound,
+that stored entries equal a per-slot reference, and that stored valid
+monomials never let an invalid one through.
 """
 
+import importlib
 import random
+from functools import lru_cache
 
 import pytest
 
 from support import (
     PROPERTY_GROUPS,
     G,
+    clear_stores,
     mixed_slot_family,
     random_chain,
     random_cycle,
@@ -35,10 +40,29 @@ from twisthom import (
     monomial_chain,
     parse_chain,
 )
-from twisthom import chains
-from twisthom.chains import block_key
+from twisthom import chains, pontryagin
+from twisthom.chains import _faces_table, block_key
 from twisthom.homology import class_order, homology, is_boundary, reduce_cycle
-from twisthom.pontryagin import inversion_chain
+from twisthom.pontryagin import _multiplier_table, inversion_chain
+
+# The module: the package attribute ``twisthom.homology`` is the function.
+H = importlib.import_module("twisthom.homology")
+# Each per-monomial store, as (owning module, name): the faces, the
+# multipliers, and the presentations that hold the positions.
+STORES = ((chains, "_faces_table"), (pontryagin, "_multiplier_table"), (H, "homology"))
+
+
+def _resize(monkeypatch, maxsize):
+    """Put an empty store of ``maxsize`` entries (None: unbounded) in the
+    place of each of ``STORES``."""
+    for owner, name in STORES:
+        fresh = lru_cache(maxsize=maxsize)(getattr(owner, name).__wrapped__)
+        monkeypatch.setattr(owner, name, fresh)
+
+
+def _infos():
+    """The ``cache_info()`` of each of ``STORES``."""
+    return [getattr(owner, name).cache_info() for owner, name in STORES]
 
 
 def _groups():
@@ -73,17 +97,21 @@ def _answers(cases, before=lambda: None):
 def test_cold_warm_and_evicted_tables_agree(monkeypatch):
     cases = _cases()
     assert len(cases) > 400
-    cold = _answers(cases, before=chains._TABLES.clear)
-    monkeypatch.setattr(chains, "_MAX_TABLES", 10**6)
-    chains._TABLES.clear()
+    cold = _answers(cases, before=clear_stores)
+    _resize(monkeypatch, None)
     _answers(cases)
-    filled = len(chains._TABLES)
+    filled = _infos()
     warm = _answers(cases)
-    assert len(chains._TABLES) == filled  # the second pass met no new table
-    chains._TABLES.clear()
-    monkeypatch.setattr(chains, "_MAX_TABLES", 1)
-    evicted = _answers(cases)
-    assert len(chains._TABLES) == 1
+    # The second pass met no new table.
+    assert [info.misses for info in _infos()] == [info.misses for info in filled]
+    # One entry per store, and before each call a pair no case uses
+    # (degree 99) takes its place, so every call meets a dropped table.
+    _resize(monkeypatch, 1)
+    evicted = _answers(cases, before=lambda: [getattr(owner, name)(G("Z_2"), 99)
+                                              for owner, name in STORES])
+    for info in _infos():
+        assert info.currsize == 1
+        assert info.misses > 2 * len(cases)  # at least two calls per case read each store
     assert cold == warm == evicted
     assert any(a is False for a in cold) and any(a is True for a in cold)
     # Printing too: faces are built from the stored monomial.
@@ -92,28 +120,36 @@ def test_cold_warm_and_evicted_tables_agree(monkeypatch):
 
 def test_table_store_is_bounded():
     # One table per (group, degree); the bound counts tables.
-    chains._TABLES.clear()
+    clear_stores()
+    tables = (_faces_table, _multiplier_table)
     cells = [(G(f"Z_{q}"), n) for q in range(2, 12) for n in range(5)]
-    assert len(set(cells)) > chains._MAX_TABLES
+    assert all(t.cache_info().maxsize == 32 for t in tables)
+    assert len(set(cells)) > 32
     first = [(boundary(c), inversion_chain(c), is_boundary(c))
              for c in (monomial_chain(g, (n,)) for g, n in cells[:4])]
     for g, n in cells:
         c = monomial_chain(g, (n,))
         boundary(c), inversion_chain(c), is_boundary(c)
-        assert len(chains._TABLES) <= chains._MAX_TABLES
-    assert all(cell not in chains._TABLES for cell in cells[:4])
+        assert all(t.cache_info().currsize <= 32 for t in tables)
+        # The positions of a presentation are entries of its own basis.
+        assert set(homology(g, n)._positions) <= set(basis(g, n))
+    info = homology.cache_info()
+    assert info.currsize <= info.maxsize
+    misses = [t.cache_info().misses for t in tables]
     assert [(boundary(c), inversion_chain(c), is_boundary(c))
             for c in (monomial_chain(g, (n,)) for g, n in cells[:4])] == first
+    # The first four tables had been dropped, so each was made again.
+    assert [t.cache_info().misses for t in tables] == [m + 4 for m in misses]
 
 
 def test_invalid_monomials_are_refused_after_valid_ones_are_stored():
     g = G("Z x Z_3")
-    chains._TABLES.clear()
+    clear_stores()
     for n in (2, 3):  # stores every monomial of degrees 2 and 3
         assert not is_boundary(Chain(g, n, dict.fromkeys(basis(g, n), 1)))
-    positions = chains._table(g, 2).position
+    positions = homology(g, 2)._positions
     assert set(positions) == set(basis(g, 2))
-    assert (1, 2) in chains._table(g, 3).position
+    assert (1, 2) in homology(g, 3)._positions
     invalid = (({(0, 0, 2): 1}, InvalidMonomialError),  # wrong slot count
                ({(0, 2): 1, (-1, 3): 1}, InvalidMonomialError),  # negative entry
                ({(1, 1): 1, (2, 0): 1}, InvalidMonomialError),  # Z slot above 1
@@ -137,51 +173,59 @@ def test_faces_and_multipliers_refuse_invalid_monomials():
                (Chain(G("Z_7 x Z_3"), 0, {(-3, 3): 3}), InvalidMonomialError),
                (Chain(g, 7, {(5, 1): 1, (0, 0, 0): 2}), InvalidMonomialError),
                (Chain(g, 2, {(0, 2): 1, (0, 3): 1}), DegreeMismatchError))
+    # Every (group, degree) this test touches; fewer than the bound, so
+    # no table is dropped before it is read below.
+    touched = {(c.group, c.degree) for c, _ in invalid}
     for warm in (False, True):
-        chains._TABLES.clear()
+        clear_stores()
         if warm:  # every valid monomial of Z x Z_3 in degrees 2 and 7 stored
             for n in (2, 7):
                 z = Chain(g, n, dict.fromkeys(basis(g, n), 1))
                 boundary(z), inversion_chain(z)
+            assert len(_faces_table(g, 7)) == len(_multiplier_table(g, 7)) == len(basis(g, 7))
         for chain, error in invalid:
             for call in (boundary, is_cycle, inversion_chain):
                 with pytest.raises(error):
                     call(chain)
-        for (group, n), table in chains._TABLES.items():
-            assert set(table.faces) <= set(basis(group, n))
-            assert set(table.inversion) <= set(basis(group, n))
+        assert _faces_table.cache_info().currsize == len(touched) < 32
+        for group, n in touched:
+            assert set(_faces_table(group, n)) <= set(basis(group, n))
+            assert set(_multiplier_table(group, n)) <= set(basis(group, n))
 
 
 def test_boundary_of_an_equal_monomial_of_other_types_leaves_no_trace():
     # Faces are stored only for monomials of plain ints, so a bool monomial
     # met first does not put True into the faces of [1 2].
     g = G("Z x Z_3")
-    chains._TABLES.clear()
+    clear_stores()
     assert format_chain(boundary(monomial_chain(g, (True, 2)))) == "-3*[True 1]"
     assert format_chain(boundary(parse_chain(g, "[1 2]"))) == "-3*[1 1]"
 
 
 def test_stored_entries_match_the_per_slot_reference():
-    chains._TABLES.clear()
+    clear_stores()
     groups = [G(text) for text in ("Z x Z~ x Z_3", "Z_2~ x Z_4 x Z_3", "Z_4~ x Z^2")]
     for g in groups:
         for n in range(6):
             z = Chain(g, n, dict.fromkeys(basis(g, n), 1))
             boundary(z), inversion_chain(z), is_boundary(z)
-    assert len(chains._TABLES) == len(groups) * 6
+    # One table of each kind per pair, none of them dropped.
+    assert [info.currsize for info in _infos()] == [len(groups) * 6] * 3
     seen = 0
-    for (g, n), table in chains._TABLES.items():
-        assert set(table.faces) == set(table.inversion) == set(table.position) == set(basis(g, n))
-        h = homology(g, n)
-        for mon in basis(g, n):
-            assert table.faces[mon] == reference_faces(g, mon)
-            assert table.inversion[mon] == reference_inversion(g, mon)
-            key, i = table.position[mon]
-            assert key == block_key(g, mon)
-            slots, kos = h._block(key)
-            raised = list(key)
-            for s in kos.subsets[i]:
-                raised[slots[s]] += 1
-            assert tuple(raised) == mon
-            seen += 1
+    for g in groups:
+        for n in range(6):
+            faces, mults = _faces_table(g, n), _multiplier_table(g, n)
+            h = homology(g, n)
+            assert set(faces) == set(mults) == set(h._positions) == set(basis(g, n))
+            for mon in basis(g, n):
+                assert faces[mon] == reference_faces(g, mon)
+                assert mults[mon] == reference_inversion(g, mon)
+                key, i = h._positions[mon]
+                assert key == block_key(g, mon)
+                slots, kos = h._block(key)
+                raised = list(key)
+                for s in kos.subsets[i]:
+                    raised[slots[s]] += 1
+                assert tuple(raised) == mon
+                seen += 1
     assert seen == sum(len(basis(g, n)) for g in groups for n in range(6)) > 80

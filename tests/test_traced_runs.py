@@ -12,8 +12,10 @@ examples; ``homology`` makes round trips through large presentations;
 squares to zero, Leibniz, graded commutativity, j as a chain map and
 j o j = id on homology); ``oracle`` compares the small complex with the
 bar resolution.  Between them they reach both callers of
-``quotient_presentation``.  About 3 s for ``queries``, a second or less
-for each of the others.
+``quotient_presentation``.  The tracer reports every ``lru_cache`` of the
+package by its module and name, so each run also checks that the stores
+the workload fills show up in the cache metrics.  About 3 s for
+``queries``, a second or less for each of the others.
 """
 
 import json
@@ -24,6 +26,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# Stores that a workload fills, as the tracer's cache metrics name them.
+STORES = {"queries": ("cache.chains._faces_table", "cache.pontryagin._multiplier_table"),
+          "oracle": ("cache.bar._reduced",)}
 
 
 @pytest.mark.parametrize("workload", ["sweep", "homology", "queries", "oracle"])
@@ -35,3 +40,5 @@ def test_traced_run_has_no_failed_operation(workload):
     assert record["attempted"] > 0
     assert record["failed"] == 0
     assert record["errors"] == []
+    for store in STORES.get(workload, ()):
+        assert record["layers"][f"{store}.currsize"] > 0

@@ -15,7 +15,11 @@ parent's ``BENCHMARK.json`` it then prints the parent's median [first
 and third quartile] -> the change's, the relative change of the medians,
 the pairs in which the change's value was lower, and whether the
 change's median is worse than the parent's by more than the metric's
-bound.  The ``failed`` and ``attempted`` totals of each side follow.  A
+bound.  A metric whose parent quartiles lie further apart than bound x
+the parent's median is marked ``unresolved``: its run-to-run spread is
+wider than the bound, so a median inside the bound does not show it
+unchanged.  The mark is left off when every change run beats every
+parent run.  The ``failed`` and ``attempted`` totals of each side follow.  A
 run without a result line stops the tool with exit status 1.  Standard
 library only.
 """
@@ -59,12 +63,18 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
                             f"{proc.stderr[-2000:]}") from None
 
 
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    """(first quartile, third quartile)"""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def _spread(values: list[float]) -> str:
     """median [first quartile, third quartile]"""
-    med = statistics.median(values)
-    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                 if len(values) > 1 else (med, med, med))
-    return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
+    q1, q3 = _quartiles(values)
+    return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
 
 
 def summarize(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[str]:
@@ -78,10 +88,16 @@ def summarize(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[st
         pm, cm = statistics.median(parent), statistics.median(change)
         rel = (cm - pm) / pm if pm else 0.0
         lower = sum(c < p for p, c in zip(parent, change))
-        worse = cm > pm * (1 + bound) if m["better"] == "lower" else cm < pm * (1 - bound)
+        if m["better"] == "lower":
+            worse, beats = cm > pm * (1 + bound), max(change) < min(parent)
+        else:
+            worse, beats = cm < pm * (1 - bound), min(change) > max(parent)
+        q1, q3 = _quartiles(parent)
+        unresolved = q3 - q1 > bound * abs(pm) and not beats
         lines.append(f"{name} ({m['unit']}): {_spread(parent)} -> {_spread(change)}  "
                      f"{rel:+.1%}  lower in {lower}/{len(pairs)}  "
-                     f"worse by more than {bound:g}: {'YES' if worse else 'no'}")
+                     f"worse by more than {bound:g}: {'YES' if worse else 'no'}"
+                     + ("  unresolved" if unresolved else ""))
     for side, k in (("parent", 0), ("change", 1)):
         failed = sum(pair[k]["failed"] for pair in pairs)
         attempted = sum(pair[k]["attempted"] for pair in pairs)
