@@ -28,7 +28,11 @@ number whose digits are its codes, which is its position in the
 enumeration of nontrivial k-tuples.  Each column of d_k is computed
 from the digits of its position, through one Cayley table of codes and
 one list of omega values per group; tuples appear only where bar
-chains enter (``push``) and leave (``lift``).
+chains enter (``push``) and leave (``lift``).  Vectors are keyed by code
+end to end: the presentation of H_{k-1} takes the surviving columns of
+d_{k-1} and the columns of d_k keyed by their codes, and its coordinate
+rows and generators come back keyed the same way, so no code is ever
+renumbered.
 """
 
 from __future__ import annotations
@@ -37,13 +41,12 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .chains import _Combination
+from .chains import _Combination, as_degree
 from .criterion import chi_chain
 from .groups import GroupSpec
 from .homology import (
     AbelianType,
     InfiniteGroupError,
-    as_degree,
     class_order,
     coords_order,
     homology,
@@ -91,8 +94,9 @@ def _inv(orders: tuple[int, ...], x: Element) -> Element:
 class BarChain(_Combination):
     """Integer combination of bar tuples of one degree, over a finite group.
 
-    Each tuple has ``degree`` entries, each a group element: one exponent
-    e per factor, 0 <= e < order.  Anything else raises ``ValueError``.
+    Each tuple has ``degree`` entries, each a group element: one int
+    exponent e per factor, 0 <= e < order (a bool counts as its int).
+    Anything else raises ``ValueError``.
     The arithmetic and the zero-free invariant come from the base
     :class:`~twisthom.chains._Combination`, shared with ``Chain``: the
     constructor checks the keys, then the base drops zero coefficients,
@@ -111,7 +115,8 @@ class BarChain(_Combination):
             if not isinstance(key, tuple) or len(key) != self.degree:
                 raise ValueError("bar key is not a tuple of the degree's length")
             if any(not isinstance(g, tuple) or len(g) != len(orders)
-                   or not all(0 <= e < o for e, o in zip(g, orders)) for g in key):
+                   or not all(isinstance(e, int) and 0 <= e < o for e, o in zip(g, orders))
+                   for g in key):
                 raise ValueError("bar tuple entry is not an element of the group")
         super().__post_init__()
 
@@ -253,6 +258,8 @@ class _Complex:
     never contain any.  Extending to degree k presents H_{k-1} at once,
     and later reductions only drop columns of d_k whose image is zero,
     so no answer depends on how far the complex was extended before.
+    ``push``, the presentations in ``pres`` and ``lift`` all hold vectors
+    keyed by code; no other numbering of the basis is kept.
     """
 
     def __init__(self, group: GroupSpec):
@@ -272,7 +279,6 @@ class _Complex:
         # row, rest of its column).  Lift at degree k replays the row
         # halves of log[k], push the column halves of log[k+1].
         self.log: list[list[tuple]] = [[]]
-        self.survivors: list[list[int]] = []
         self.pres: list = []
         # The columns of d_top left by its reduction, keyed by row.
         self.cols: dict[int, dict[int, int]] = {0: {}}
@@ -355,15 +361,10 @@ class _Complex:
         for r, *_ in log:
             del prev[r]
         self.log.append(log)
-        # Present H_{k-1} = ker d_{k-1} / im d_k on the surviving basis.
-        survivors = sorted(prev)
-        slot = {key: i for i, key in enumerate(survivors)}
-        row_keys = sorted({rk for col in prev.values() for rk in col})
-        row_index = {key: i for i, key in enumerate(row_keys)}
-        e_columns = [
-            {row_index[rk]: v for rk, v in prev[key].items()}
-            for key in survivors
-        ]
+        # Present H_{k-1} = ker d_{k-1} / im d_k on the surviving basis,
+        # keyed by code.
+        e_columns = {key: prev[key] for key in sorted(prev)}
+        nrows = len({rk for col in prev.values() for rk in col})
         # Many surviving columns of d_k are zero or repeats after
         # cancellation; only the span matters for the quotient, so keep
         # one per sign class and skip the zeros.
@@ -373,14 +374,13 @@ class _Complex:
             if items:
                 sign = -1 if items[0][1] < 0 else 1
                 spans.setdefault(tuple((rk, sign * v) for rk, v in items), cols[key])
-        d_columns = [{slot[rk]: v for rk, v in col.items()} for col in spans.values()]
-        self.survivors.append(survivors)
-        self.pres.append(quotient_presentation(e_columns, len(row_keys), d_columns))
+        self.pres.append(quotient_presentation(e_columns, nrows, list(spans.values())))
         self.cols = cols
         self.top = k
 
     def push(self, chain: BarChain) -> dict[int, int]:
-        """Coordinates of a cycle on the surviving basis of its degree.
+        """A cycle as a vector on the reduced basis of its degree, keyed by
+        code.
 
         Tuples containing the identity are dropped first; passing to the
         normalized complex is a chain map, so the class is unmoved.
@@ -393,13 +393,13 @@ class _Complex:
                 vec[j] = v
         # A cycle's coordinate on a column d_n cancelled is zero in the
         # changed basis (its image has that unit's row alone), so only
-        # the pivots of d_{n+1} move it; the survivors are what is left.
+        # the pivots of d_{n+1} move it.  Entries left on those columns
+        # meet no coordinate row of the presentation, so they are ignored.
         for r, _, u, _, colvals in self.log[n + 1]:
             vr = vec.pop(r, 0)
             if vr:
                 _addmul(vec, colvals, -(vr // u))
-        slot = {key: i for i, key in enumerate(self.survivors[n])}
-        return {slot[k]: v for k, v in vec.items() if k in slot}
+        return vec
 
     def class_coords(self, chain: BarChain) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self.pres[chain.degree].class_coords(self.push(chain))
@@ -411,9 +411,7 @@ class _Complex:
 
     def lift(self, n: int, free, torsion) -> BarChain:
         """A bar cycle of degree n in the class with these coordinates."""
-        vec_idx = self.pres[n].vector_from_coords(free, torsion)
-        survivors = self.survivors[n]
-        vec = {survivors[i]: v for i, v in vec_idx.items()}
+        vec = self.pres[n].vector_from_coords(free, torsion)
         for _, c, u, rowvals, _ in reversed(self.log[n]):
             s = _dot(rowvals, vec)
             if s:

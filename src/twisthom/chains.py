@@ -21,10 +21,11 @@ kept in a table of that pair, owned by the module that reads it: its
 faces under the differential with their signed coefficients in
 :func:`_faces_table` (read by :func:`boundary`), the integer j
 multiplies it by in ``pontryagin._multiplier_table`` (read by
-``inversion_chain``), and its block key and local Koszul position in the
-presentation's ``_positions`` (read by ``reduce``, ``class_order`` and
-``is_boundary``).  All three follow one rule: on a miss, the monomial is
-validated against the group and the chain's degree
+``inversion_chain``), and its block key and the subset of its block's
+slots it raises in the presentation's ``_positions`` (read by
+``reduce``, ``class_order`` and ``is_boundary``).  All three follow one
+rule: on a miss, the monomial is validated against the group and the
+chain's degree
 (:func:`_validate_monomial`) before its entry is computed and stored, so
 a monomial outside the basis is refused with ``InvalidMonomialError`` or
 ``DegreeMismatchError`` whatever the table holds.  The faces and
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .groups import GroupSpec
 from .snf import _addmul
@@ -168,6 +169,8 @@ def _validate_monomial(group: GroupSpec, mon: Monomial, degree: int | None = Non
     if len(mon) != len(orders):
         raise InvalidMonomialError(f"expected {len(orders)} slots, got {len(mon)}")
     for k, i in enumerate(mon):
+        if not isinstance(i, int):
+            raise InvalidMonomialError(f"degree {i!r} in slot {k + 1} is not an integer")
         if i < 0:
             raise InvalidMonomialError(f"negative degree {i} in slot {k + 1}")
         if orders[k] == 0 and i > 1:
@@ -183,9 +186,35 @@ def _faces_table(group: GroupSpec, degree: int) -> dict:
     return {}
 
 
-@lru_cache(maxsize=4096)
+def as_degree(n) -> int:
+    """A degree argument as an int, checked before any work: anything but
+    an int is refused with ``TypeError``, and a bool is read as its int."""
+    if not isinstance(n, int):
+        raise TypeError("homology degree must be an integer")
+    return int(n)
+
+
+def _degree_cache(maxsize: int):
+    """An ``lru_cache`` on ``(group, n)`` behind :func:`as_degree`: a degree
+    that is not an int is refused before the cache is read, and True and
+    1 share one entry."""
+    def wrap(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def call(group: GroupSpec, n):
+            return cached(group, as_degree(n))
+
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+    return wrap
+
+
+@_degree_cache(maxsize=4096)
 def basis(group: GroupSpec, n: int):
-    """Monomials of total degree n, in lexicographic order on degree vectors."""
+    """Monomials of total degree n, in lexicographic order on degree vectors;
+    a degree that is not an int raises ``TypeError`` before the cache is
+    read."""
     if n < 0:
         return ()
     orders = group.orders

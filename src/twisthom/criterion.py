@@ -102,12 +102,11 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
-from .chains import Chain, block_pairing, product_block_key
+from .chains import Chain, as_degree, block_pairing, product_block_key
 from .groups import GroupSpec
 from .homology import (
     HomologyClass,
     _prime_power_split,
-    as_degree,
     block_order,
     format_order,
     generating_cycles,

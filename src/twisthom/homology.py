@@ -6,18 +6,21 @@ so the whole complex is a direct sum of Koszul complexes K(c_1..c_m), one
 per block key (see :func:`twisthom.chains.block_key`).
 ``homology(group, n)`` presents H_n as the direct sum of the blocks'
 homology: each block is presented once per shape (signed coefficients and
-degree) by ``quotient_presentation`` on its t-subsets.  That takes the
-block's cycles from the column-only Smith form of its outgoing
-differential, and its generators from the Smith form of the transposed
-incoming differential written in cycle coordinates; it hands out one
-coordinate row and one cycle vector per generator.  A block whose
-coefficients have gcd 1 is exact: its presentation is empty and it holds
-no generators.  A presentation keeps one table of every block it meets,
+degree) by ``quotient_presentation``, whose columns are the block's
+t-subsets of slots and whose rows are its (t-1)-subsets, each keyed by the
+subset itself.  That takes the block's cycles from the column-only Smith
+form of its outgoing differential, and its generators from the Smith form
+of the transposed incoming differential written in cycle coordinates; it
+hands out one coordinate row and one cycle vector per generator, keyed by
+subset too, so no index of subsets is kept.  A block whose coefficients
+have gcd 1 is exact: its presentation is empty and it holds no
+generators.  A presentation keeps one table of every block it meets,
 exact ones too, each built once, and ``_layout`` maps each block with
 homology to the range of its generators.  A chain is split into its
 blocks' local vectors with one lookup per monomial in the presentation's
-position table, which holds each monomial's block key and local Koszul
-position, one of the per-monomial tables of :mod:`twisthom.chains`; a
+position table, one of the per-monomial tables of :mod:`twisthom.chains`.
+It holds each monomial's block key and the subset of the block's slots
+the monomial raises, which is the monomial's key in its local vector.  A
 monomial met for the first time is validated, then its position is
 computed and stored, so an invalid monomial is refused whatever the
 table holds, and the positions live as long as their presentation.  Each
@@ -73,13 +76,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
 from .chains import (
     Chain,
     ChainError,
+    _degree_cache,
     _validate_monomial,
+    as_degree,
     basis,
     block_key,
     block_pairing,
@@ -185,28 +190,27 @@ class HomologyClass:
         return "(" + ", ".join(bits) + ")" if bits else "()"
 
 
-def _koszul_columns(coeffs: tuple[int, ...], t: int) -> list[dict[int, int]]:
+def _koszul_columns(coeffs: tuple[int, ...], t: int) -> dict[tuple, dict[tuple, int]]:
     """The Koszul differential from t-subsets to (t-1)-subsets of the slots,
-    as sparse columns; subsets are indexed in ``itertools.combinations``
-    order.  Dropping the r-th element of a subset carries (-1)^r."""
-    m = len(coeffs)
-    lower = {s: i for i, s in enumerate(itertools.combinations(range(m), t - 1))} if t else {}
-    return [{lower[s[:r] + s[r + 1:]]: -coeffs[k] if r & 1 else coeffs[k]
-             for r, k in enumerate(s)}
-            for s in itertools.combinations(range(m), t)]
+    as sparse columns keyed by their t-subset, in ``itertools.combinations``
+    order, with entries keyed by (t-1)-subset.  Dropping the r-th element
+    of a subset carries (-1)^r."""
+    return {s: {s[:r] + s[r + 1:]: -coeffs[k] if r & 1 else coeffs[k] for r, k in enumerate(s)}
+            for s in itertools.combinations(range(len(coeffs)), t)}
 
 
 @dataclass(frozen=True)
 class _Koszul:
-    """H_t of one Koszul block shape: the t-subsets, their index, the
-    differential's columns on them, and the presentation over them, whose
-    ``generators`` are one cycle vector per generator (torsion first), and
-    ``g``, the gcd of the coefficients (0 when no slot is paired).  A block
-    with g = 1 is exact: its presentation is empty."""
+    """H_t of one Koszul block shape.  ``columns`` is the differential on
+    the t-subsets of the block's slots, keyed by subset; ``core`` is the
+    presentation over the same subsets, whose ``generators`` are one cycle
+    vector per generator (torsion first); ``g`` is the gcd of the
+    coefficients (0 when no slot is paired).  A local vector is keyed by
+    the subsets of raised slots, as the presentation's ``_positions``
+    store them.  A block with g = 1 is exact: its presentation is
+    empty."""
 
-    subsets: tuple[tuple[int, ...], ...]
-    index: dict
-    columns: list[dict[int, int]]
+    columns: dict[tuple, dict[tuple, int]]
     core: QuotientPresentation
     g: int
 
@@ -217,17 +221,14 @@ class _Koszul:
 
 @lru_cache(maxsize=4096)
 def _koszul(coeffs: tuple[int, ...], t: int) -> _Koszul:
-    m = len(coeffs)
-    subsets = tuple(itertools.combinations(range(m), t))
-    index = {s: i for i, s in enumerate(subsets)}
     columns = _koszul_columns(coeffs, t)
     g = gcd(*coeffs)
     if g == 1:
         core = QuotientPresentation((), 0, (), ())
     else:
-        core = quotient_presentation(columns, comb(m, t - 1) if t else 0,
-                                     _koszul_columns(coeffs, t + 1))
-    return _Koszul(subsets, index, columns, core, g)
+        core = quotient_presentation(columns, comb(len(coeffs), t - 1) if t else 0,
+                                     list(_koszul_columns(coeffs, t + 1).values()))
+    return _Koszul(columns, core, g)
 
 
 class HomologyPresentation:
@@ -243,8 +244,8 @@ class HomologyPresentation:
     Every block the presentation meets is kept once, exact ones too, and
     ``_layout`` maps each block with homology to the range of its
     generators.  ``_parts`` turns a chain into one local vector per block
-    it touches, reading each monomial's (block key, local position) from
-    ``_positions``, beside ``_blocks``, and filling it on first sight
+    it touches, reading each monomial's (block key, raised-slot subset)
+    from ``_positions``, beside ``_blocks``, and filling it on first sight
     after validation; ``reduce``, ``class_order`` and
     ``is_boundary`` all start there.  ``reduce`` sends a cycle to
     coordinates; ``representative`` lifts coordinates back to a cycle,
@@ -256,7 +257,7 @@ class HomologyPresentation:
         self.group = group
         self.degree = degree
         self._blocks: dict = {}  # block key -> (slots, _Koszul), every block met
-        self._positions: dict = {}  # monomial -> (block key, local position), every one met
+        self._positions: dict = {}  # monomial -> (block key, raised slots), every one met
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HomologyPresentation)
@@ -311,9 +312,9 @@ class HomologyPresentation:
             slots, kos = self._blocks[key]
             for vec in kos.core.generators:
                 terms = {}
-                for i, v in vec.items():
+                for raised, v in vec.items():
                     mon = list(key)
-                    for s in kos.subsets[i]:
+                    for s in raised:
                         mon[slots[s]] += 1
                     terms[tuple(mon)] = v
                 out.append(Chain(self.group, self.degree, terms))
@@ -324,8 +325,9 @@ class HomologyPresentation:
         refusing a chain from another group or degree, or with a monomial
         outside this degree's basis.  Each monomial costs one lookup in
         ``_positions``; one met for the first time is validated, then its
-        block key and local position are stored.  The differential
-        keeps every block, so each part is a cycle when the chain is one."""
+        block key and the subset of its block's slots it raises are
+        stored.  The differential keeps every block, so each part is a
+        cycle when the chain is one."""
         group, n = self.group, self.degree
         if chain.group != group or chain.degree != n:
             raise ValueError("chain does not live where this presentation does")
@@ -336,15 +338,15 @@ class HomologyPresentation:
             if pos is None:
                 _validate_monomial(group, mon, n)
                 key = block_key(group, mon)
-                slots, kos = self._block(key)
+                slots = self._block(key)[0]
                 raised = tuple(s for s, k in enumerate(slots) if mon[k] != key[k])
-                pos = positions[mon] = (key, kos.index[raised])
-            key, i = pos
+                pos = positions[mon] = (key, raised)
+            key, raised = pos
             vec = split.get(key)
             if vec is None:
-                split[key] = {i: coef}
+                split[key] = {raised: coef}
             else:
-                vec[i] = coef
+                vec[raised] = coef
         return split
 
     def _local(self, key, vec) -> _Koszul:
@@ -405,30 +407,6 @@ class HomologyPresentation:
 
     def __repr__(self):
         return f"<HomologyPresentation H_{self.degree}({self.group}) = {self}>"
-
-
-def as_degree(n) -> int:
-    """A degree argument as an int, checked before any work: anything but
-    an int is refused with ``TypeError``, and a bool is read as its int."""
-    if not isinstance(n, int):
-        raise TypeError("homology degree must be an integer")
-    return int(n)
-
-
-def _degree_cache(maxsize: int):
-    """An ``lru_cache`` on ``(group, n)`` behind :func:`as_degree`: a degree
-    that is not an int is refused before the cache is read, and True and
-    1 share one entry."""
-    def wrap(fn):
-        cached = lru_cache(maxsize=maxsize)(fn)
-
-        @wraps(fn)
-        def call(group: GroupSpec, n):
-            return cached(group, as_degree(n))
-
-        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-        return call
-    return wrap
 
 
 @_degree_cache(maxsize=256)
@@ -594,8 +572,10 @@ def kunneth_predict(left: GroupSpec, right: GroupSpec, n: int) -> AbelianType:
     """H_n of the product of two groups from the homology of the sides.
 
     Sum over i of H_i(left) (x) H_{n-i}(right), plus the torsion pairing
-    shifted one degree down.
+    shifted one degree down.  A degree that is not an int raises
+    ``TypeError``.
     """
+    n = as_degree(n)
     total = AbelianType.zero()
     for i in range(n + 1):
         total = total + homology_type(left, i).tensor(homology_type(right, n - i))

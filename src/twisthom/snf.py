@@ -2,9 +2,10 @@
 
 Everything here works over Z with arbitrary-precision Python ints; nothing
 is ever done in floating point or a fixed-width dtype.  Vectors are sparse
-dicts from index to nonzero value, and one kernel does all the arithmetic
-on them: :func:`_addmul` (target += q * source, dropping entries that
-cancel), :func:`_dot` and :func:`_combination`.  Two layers rest on it:
+dicts from an index or id to a nonzero value, and one kernel does all the
+arithmetic on them: :func:`_addmul` (target += q * source, dropping
+entries that cancel), :func:`_dot` and :func:`_combination`.  Two layers
+rest on it:
 
 * :func:`smith_normal_form` -- Smith normal form of a matrix given as
   sparse rows, tracking only the column transform V, as sparse columns,
@@ -18,6 +19,14 @@ cancel), :func:`_dot` and :func:`_combination`.  Two layers rest on it:
   that matrix's transpose.  This is the one piece of plumbing shared by
   the small-resolution homology engine, which calls it once per Koszul
   block shape, and the bar-resolution oracle.
+
+The two layers differ in how they name things.  ``smith_normal_form``
+works on dense positions: rows and columns 0, 1, 2, ...  Its callers
+never do.  ``quotient_presentation`` takes E's columns keyed by the
+caller's own ids (Koszul subsets, bar codes), over the caller's own row
+ids, and hands out coordinate rows and generators keyed by the same
+column ids; it numbers columns and rows internally and keeps those
+numbers to itself.
 """
 
 from __future__ import annotations
@@ -173,13 +182,14 @@ def smith_normal_form(matrix: list[dict[int, int]], ncols: int) -> SmithNormalFo
 
 @dataclass
 class QuotientPresentation:
-    """Reduction data for H = ker E / im D inside Z^ncols, one entry per
-    generator, torsion generators first.
+    """Reduction data for H = ker E / im D, one entry per generator,
+    torsion generators first, every vector keyed by E's column ids.
 
     ``coord_rows[i]`` is a sparse row whose dot product with a cycle is
     the cycle's i-th homology coordinate (taken mod ``torsion[i]`` for a
     torsion generator); ``generators[i]`` is a sparse cycle whose class
-    is the i-th generator.
+    is the i-th generator.  A cycle's entries on ids outside E meet no
+    coordinate row, so they add nothing to its coordinates.
     """
 
     torsion: tuple[int, ...]
@@ -199,14 +209,18 @@ class QuotientPresentation:
         return _combination(self.generators, dict(enumerate((*torsion, *free))))
 
 
-def quotient_presentation(e_columns: list[dict[int, int]], nrows_e: int,
-                          d_columns: list[dict[int, int]]) -> QuotientPresentation:
-    """Present ker E / im D, with E given by sparse columns over row indices
-    0..nrows_e-1 and D by sparse columns over E's column indices.
+def quotient_presentation(e_columns: dict, nrows_e: int,
+                          d_columns: list[dict]) -> QuotientPresentation:
+    """Present ker E / im D, with E given as a mapping from the caller's
+    column ids to sparse columns over the caller's row ids, at most
+    ``nrows_e`` of them, and D as sparse columns over E's column ids.
+    The coordinate rows and generators come back keyed by E's column ids.
 
-    The last k columns of E's V are a kernel basis, and the last k rows of
-    its Vinv give kernel coordinates.  X, D written in those coordinates,
-    is brought to Smith form by a row transform ux; the Smith form of X's
+    E's columns take the mapping's order and its rows the sorted order of
+    their ids; those positions stay inside this function.  The last k
+    columns of E's V are a kernel basis, and the last k rows of its Vinv
+    give kernel coordinates.  X, D written in those coordinates, is
+    brought to Smith form by a row transform ux; the Smith form of X's
     transpose, whose sparse rows are D's columns dotted with the
     coordinate rows, supplies it as ux = V'^T.  Each generator, at a
     position p with a divisor above 1 or past the rank, keeps row p of
@@ -214,30 +228,42 @@ def quotient_presentation(e_columns: list[dict[int, int]], nrows_e: int,
     column p of V', and column p of kernel @ ux^-1, the combination of
     the kernel columns weighted by row p of V'^-1.
 
-    im D must lie inside ker E (the caller's boundary-squared guarantee);
-    this is checked via the part of the coordinate solve that must vanish,
-    and a violation raises ``ValueError``.
+    More distinct row ids than ``nrows_e``, or an entry of D outside E's
+    column ids, raises ``ValueError``.  im D must lie inside ker E (the
+    caller's boundary-squared guarantee); this is checked via the part of
+    the coordinate solve that must vanish, and a violation raises
+    ``ValueError`` too.
     """
-    ncols = len(e_columns)
-    e_rows: list[dict[int, int]] = [{} for _ in range(nrows_e)]
-    for j, col in enumerate(e_columns):
+    ids = list(e_columns)
+    position = {c: j for j, c in enumerate(ids)}
+    row_ids = sorted({i for col in e_columns.values() for i in col})
+    if len(row_ids) > nrows_e:
+        raise ValueError("E has more row ids than nrows_e")
+    row_position = {i: r for r, i in enumerate(row_ids)}
+    e_rows: list[dict[int, int]] = [{} for _ in row_ids]
+    for j, col in enumerate(e_columns.values()):
         for i, v in col.items():
-            e_rows[i][j] = v
-    res = smith_normal_form(e_rows, ncols)
-    r = res.rank
-    k = ncols - r
-    coords, kernel = res.Vinv[r:], res.V[r:]
-    if any(not 0 <= i < ncols for col in d_columns for i in col):
+            e_rows[row_position[i]][j] = v
+    if any(c not in position for col in d_columns for c in col):
         raise ValueError("boundary column entry outside E's columns")
-    if any(_dot(col, row) for col in d_columns for row in res.Vinv[:r]):
+    d_cols = [{position[c]: v for c, v in col.items()} for col in d_columns]
+    res = smith_normal_form(e_rows, len(ids))
+    r = res.rank
+    k = len(ids) - r
+    coords, kernel = res.Vinv[r:], res.V[r:]
+    if any(_dot(col, row) for col in d_cols for row in res.Vinv[:r]):
         raise ValueError("boundary column escapes the kernel")
     x_t = [{i: w for i, row in enumerate(coords) if (w := _dot(col, row))}
-           for col in d_columns]
+           for col in d_cols]
     xres = smith_normal_form(x_t, k)
     keep = [p for p, d in enumerate(xres.divisors) if d > 1] + list(range(xres.rank, k))
+
+    def by_id(vec: dict[int, int]) -> dict:
+        return {ids[j]: v for j, v in vec.items()}
+
     return QuotientPresentation(
         torsion=tuple(d for d in xres.divisors if d > 1),
         free_rank=k - xres.rank,
-        coord_rows=tuple(_combination(coords, xres.V[p]) for p in keep),
-        generators=tuple(_combination(kernel, xres.Vinv[p]) for p in keep),
+        coord_rows=tuple(by_id(_combination(coords, xres.V[p])) for p in keep),
+        generators=tuple(by_id(_combination(kernel, xres.Vinv[p])) for p in keep),
     )

@@ -68,6 +68,17 @@ def test_bar_chain_refuses_keys_and_elements_that_are_not_tuples():
     assert BarChain(G("Z_2"), 1, {((1,),): 1}).terms == {((1,),): 1}
 
 
+def test_bar_chain_refuses_exponents_that_are_not_ints():
+    # ((0.5,),) over Z_2 used to be built, print 1*[0.5] and have boundary
+    # 0, because 0 <= 0.5 < 2 holds.  A bool is an int, as in a monomial.
+    for e in (0.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="not an element of the group"):
+            BarChain(G("Z_2"), 1, {((e,),): 1})
+    with pytest.raises(ValueError, match="not an element of the group"):
+        BarChain(G("Z_2 x Z_3"), 2, {((1, 2), (0, 2.0)): 1})
+    assert BarChain(G("Z_2"), 1, {((True,),): 1}) == BarChain(G("Z_2"), 1, {((1,),): 1})
+
+
 def test_bar_chain_scalars_must_be_ints():
     a = BarChain(G("Z_3"), 1, {((1,),): 1})
     with pytest.raises(TypeError):

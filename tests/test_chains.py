@@ -15,6 +15,7 @@ from twisthom import (
     boundary,
     format_chain,
     is_cycle,
+    kunneth_predict,
     monomial_chain,
     parse_chain,
     zero_chain,
@@ -40,6 +41,24 @@ def test_basis_respects_infinite_cap():
     for mon in basis(G("Z^2 x Z_3"), 4):
         assert mon[0] <= 1 and mon[1] <= 1
         assert sum(mon) == 4
+
+
+def test_basis_and_kunneth_refuse_a_degree_that_is_not_an_int_cold_and_warm():
+    # basis(g, 1.0) raised a bare TypeError on a cold cache and returned the
+    # degree-1 basis once basis(g, 1) was cached; kunneth_predict(g, g, 2.0)
+    # failed inside range.  The check now runs before the cache is read.
+    g = G("Z_2 x Z_3")
+    for warm in (False, True):
+        basis.cache_clear()
+        if warm:
+            basis(g, 1)
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            basis(g, 1.0)
+        assert basis(g, True) == basis(g, 1) == ((0, 1), (1, 0))
+        assert basis.cache_info().currsize == 1
+    with pytest.raises(TypeError, match="degree must be an integer"):
+        kunneth_predict(g, g, 2.0)
+    assert kunneth_predict(g, g, True) == kunneth_predict(g, g, 1)
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,6 @@ from twisthom.chains import (
 from twisthom.homology import (
     HomologyClass,
     _koszul,
-    _koszul_columns,
     block_order,
     generating_cycles,
     homology,
@@ -339,7 +338,8 @@ BLOCK_GROUPS = PROPERTY_GROUPS + ("Z_6", "Z_6~ x Z_3")
 @pytest.mark.parametrize("group", BLOCK_GROUPS)
 def test_blocks_are_koszul_complexes(group):
     # The boundary of a monomial stays in its block, and equals the block's
-    # Koszul differential under the subset indexing of its raised slots.
+    # Koszul differential on the subset of its raised slots, whose entries
+    # are keyed by the subsets of the faces' raised slots.
     g = G(group)
     for n in range(6):
         for mon in basis(g, n):
@@ -349,12 +349,11 @@ def test_blocks_are_koszul_complexes(group):
             subset = tuple(s for s, k in enumerate(slots) if mon[k] != key[k])
             assert len(subset) == t
             assert all(mon[slots[s]] == key[slots[s]] + 1 for s in subset)
-            column = _koszul_columns(coeffs, t)[_koszul(coeffs, t).index[subset]]
-            lower = _koszul(coeffs, t - 1).subsets if t else ()
+            column = _koszul(coeffs, t).columns[subset]
             want = {}
-            for i, v in column.items():
+            for lower, v in column.items():
                 target = list(key)
-                for s in lower[i]:
+                for s in lower:
                     target[slots[s]] += 1
                 want[tuple(target)] = v
             d = boundary(monomial_chain(g, mon)).terms

@@ -2,7 +2,7 @@
 
 ``boundary``, ``inversion_chain`` and the reduction entry points
 (``reduce``, ``class_order``, ``is_boundary``) read each monomial's faces,
-inversion multiplier and (block key, local position) from a table per
+inversion multiplier and (block key, raised-slot subset) from a table per
 (group, degree), filled on first use after the monomial is validated:
 ``chains._faces_table`` and ``pontryagin._multiplier_table``, each an
 ``lru_cache`` of 32 pairs, and the ``_positions`` of the cached
@@ -193,6 +193,22 @@ def test_faces_and_multipliers_refuse_invalid_monomials():
             assert set(_multiplier_table(group, n)) <= set(basis(group, n))
 
 
+def test_monomials_with_entries_that_are_not_ints_are_refused():
+    # A float entry passed every check of _validate_monomial: [0.5 0.5] over
+    # Z_2 x Z_3 was a chain of degree 1.0, and the table entry points
+    # failed with a bare TypeError from the parity test.  A bool is an int.
+    g = G("Z_2 x Z_3")
+    clear_stores()
+    for mon in ((0.5, 0.5), (1.0, 0), (0, "1")):
+        with pytest.raises(InvalidMonomialError, match="not an integer"):
+            monomial_chain(g, mon)
+        chain = Chain(g, 1, {mon: 1})
+        for call in (boundary, inversion_chain, reduce_cycle, class_order):
+            with pytest.raises(InvalidMonomialError, match="not an integer"):
+                call(chain)
+    assert monomial_chain(g, (True, 0)).degree == 1
+
+
 def test_boundary_of_an_equal_monomial_of_other_types_leaves_no_trace():
     # Faces are stored only for monomials of plain ints, so a bool monomial
     # met first does not put True into the faces of [1 2].
@@ -220,11 +236,12 @@ def test_stored_entries_match_the_per_slot_reference():
             for mon in basis(g, n):
                 assert faces[mon] == reference_faces(g, mon)
                 assert mults[mon] == reference_inversion(g, mon)
-                key, i = h._positions[mon]
+                key, subset = h._positions[mon]
                 assert key == block_key(g, mon)
                 slots, kos = h._block(key)
+                assert subset in kos.columns
                 raised = list(key)
-                for s in kos.subsets[i]:
+                for s in subset:
                     raised[slots[s]] += 1
                 assert tuple(raised) == mon
                 seen += 1

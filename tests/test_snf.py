@@ -135,7 +135,7 @@ def test_ragged_and_shape_errors():
     # quotient_presentation refuses a boundary column entry outside E's
     # columns in the same way.
     with pytest.raises(ValueError, match="outside"):
-        quotient_presentation([{}, {}], 1, [{2: 1}])
+        quotient_presentation({0: {}, 1: {}}, 1, [{2: 1}])
 
 
 def test_pivot_column_is_cleared_in_row_order():
@@ -185,7 +185,7 @@ def test_divisors_are_determinantal_ratios(matrix):
 
 def test_quotient_presentation_free_and_torsion():
     # E: Z^2 -> Z with zero map, D: Z -> Z^2 with image 3 e_0.
-    pres = quotient_presentation([{}, {}], 1, [{0: 3}])
+    pres = quotient_presentation({0: {}, 1: {}}, 1, [{0: 3}])
     assert pres.free_rank == 1
     assert pres.torsion == (3,)
     # e_0 is pure torsion of order 3, e_1 is free.
@@ -199,7 +199,7 @@ def test_quotient_presentation_free_and_torsion():
 
 def test_quotient_presentation_kernel_restriction():
     # E: Z^2 -> Z, (x, y) -> x + y; kernel spanned by (1, -1); D = 0.
-    pres = quotient_presentation([{0: 1}, {0: 1}], 1, [])
+    pres = quotient_presentation({0: {0: 1}, 1: {0: 1}}, 1, [])
     assert pres.free_rank == 1
     assert pres.torsion == ()
     free, torsion = pres.class_coords({0: 1, 1: -1})
@@ -207,7 +207,7 @@ def test_quotient_presentation_kernel_restriction():
 
 
 def test_quotient_roundtrip():
-    pres = quotient_presentation([{}, {}, {}], 1, [{0: 2}, {1: 6}])
+    pres = quotient_presentation({0: {}, 1: {}, 2: {}}, 1, [{0: 2}, {1: 6}])
     assert pres.free_rank == 1
     assert pres.torsion == (2, 6)
     nt = len(pres.torsion)
@@ -224,20 +224,21 @@ def test_quotient_roundtrip():
         ) == torsion
 
 
+# Koszul block shapes (coefficients, degree) of up to 6 slots.
+KOSZUL_SHAPES = [((2, 4, 6), 1), ((4, -4, 8, 2), 2), ((3, 3, 3), 2),
+                 ((2, -2, 2, 2, -2), 2), ((3,) * 6, 3)]
+
+
 def _koszul_presentation(coeffs, t):
     return quotient_presentation(_koszul_columns(coeffs, t), comb(len(coeffs), t - 1),
-                                 _koszul_columns(coeffs, t + 1))
+                                 list(_koszul_columns(coeffs, t + 1).values()))
 
 
 def test_generator_coords_are_unit_vectors():
     for pres in (
-        quotient_presentation([{}, {}, {}], 1, [{0: 2}, {1: 6}]),
-        quotient_presentation([{0: 1}, {0: 1}, {}], 1, [{0: 4, 1: -4, 2: 6}]),
-        _koszul_presentation((2, 4, 6), 1),
-        _koszul_presentation((4, -4, 8, 2), 2),
-        _koszul_presentation((3, 3, 3), 2),
-        _koszul_presentation((2, -2, 2, 2, -2), 2),
-        _koszul_presentation((3,) * 6, 3),
+        quotient_presentation({0: {}, 1: {}, 2: {}}, 1, [{0: 2}, {1: 6}]),
+        quotient_presentation({0: {0: 1}, 1: {0: 1}, 2: {}}, 1, [{0: 4, 1: -4, 2: 6}]),
+        *(_koszul_presentation(coeffs, t) for coeffs, t in KOSZUL_SHAPES),
     ):
         nt = len(pres.torsion)
         count = nt + pres.free_rank
@@ -251,12 +252,11 @@ def test_generator_coords_are_unit_vectors():
 def test_koszul_differentials_are_in_smith_form():
     # Koszul differentials of up to 6 slots (15 x 20 and 20 x 15 for
     # (3,) * 6) reach fill-in that the 4 x 4 random matrices rarely do.
-    for coeffs, t in [((2, 4, 6), 1), ((4, -4, 8, 2), 2), ((3, 3, 3), 2),
-                      ((2, -2, 2, 2, -2), 2), ((3,) * 6, 3)]:
+    for coeffs, t in KOSZUL_SHAPES:
         for s in (t, t + 1):
-            nrows = comb(len(coeffs), s - 1)
-            columns = _koszul_columns(coeffs, s)
-            dense = [[col.get(i, 0) for col in columns] for i in range(nrows)]
+            faces = itertools.combinations(range(len(coeffs)), s - 1)
+            columns = list(_koszul_columns(coeffs, s).values())
+            dense = [[col.get(f, 0) for col in columns] for f in faces]
             assert_smith(dense, snf(dense, ncols=len(columns)), ncols=len(columns))
 
 
@@ -264,4 +264,45 @@ def test_quotient_presentation_rejects_escaping_boundary():
     # D's column e_0 is not in ker E, so im D is not inside ker E.  The
     # check raises ValueError, and so it still runs under python -O.
     with pytest.raises(ValueError, match="escapes the kernel"):
-        quotient_presentation([{0: 1}, {}], 1, [{0: 1}])
+        quotient_presentation({0: {0: 1}, 1: {}}, 1, [{0: 1}])
+
+
+def _relabelled(columns, boundaries, col_id, row_id):
+    """E's columns and D's columns with every column id and row id mapped."""
+    return ({col_id(c): {row_id(f): v for f, v in col.items()} for c, col in columns.items()},
+            [{col_id(c): v for c, v in col.items()} for col in boundaries])
+
+
+def test_presentation_is_keyed_by_the_callers_ids():
+    # E's columns go in the mapping's order and its rows in sorted id
+    # order, so an order-preserving relabelling of the ids relabels the
+    # presentation the same way and changes nothing else.  The Koszul
+    # subsets are compared with dense positions and with strings.
+    for coeffs, t in KOSZUL_SHAPES:
+        m, nrows = len(coeffs), comb(len(coeffs), t - 1)
+        columns = _koszul_columns(coeffs, t)
+        boundaries = list(_koszul_columns(coeffs, t + 1).values())
+        col_at = {s: j for j, s in enumerate(columns)}
+        row_at = {f: i for i, f in enumerate(itertools.combinations(range(m), t - 1))}
+        e, d = _relabelled(columns, boundaries, col_at.__getitem__, row_at.__getitem__)
+        dense = quotient_presentation(e, nrows, d)
+        for col_id in (lambda s: s, lambda s: "x" + "".join(map(str, s))):
+            e, d = _relabelled(columns, boundaries, col_id, col_id)
+            pres = quotient_presentation(e, nrows, d)
+            assert (pres.torsion, pres.free_rank) == (dense.torsion, dense.free_rank)
+            ids = [col_id(s) for s in columns]
+            assert pres.coord_rows == tuple({ids[j]: v for j, v in row.items()}
+                                            for row in dense.coord_rows)
+            assert pres.generators == tuple({ids[j]: v for j, v in gen.items()}
+                                            for gen in dense.generators)
+
+
+def test_quotient_presentation_refuses_ids_it_was_not_given():
+    # A D entry outside E's column ids is refused, and so are more distinct
+    # row ids than nrows_e; exactly nrows_e of them are accepted.
+    with pytest.raises(ValueError, match="outside E's columns"):
+        quotient_presentation({"a": {}, "b": {}}, 1, [{"a": 1, "c": 1}])
+    with pytest.raises(ValueError, match="more row ids than nrows_e"):
+        quotient_presentation({"a": {"x": 1}, "b": {"y": 1}}, 1, [])
+    pres = quotient_presentation({"a": {"x": 1}, "b": {"y": 1}, "c": {}}, 2, [{"c": 2}])
+    assert (pres.torsion, pres.free_rank, pres.generators) == ((2,), 0, ({"c": 1},))
