@@ -307,27 +307,44 @@ def block_key(group: GroupSpec, mon: Monomial) -> Monomial:
                  for o, s, i in zip(orders, signs, mon))
 
 
+def key_masks(group: GroupSpec, key: Monomial) -> tuple[int, int]:
+    """The two slot masks of a block key that its products read, bit k
+    for slot k: the untwisted Z slots where the key is 1, and the
+    untwisted finite slots where it is above 0.
+
+    For keys a and b, every product of their blocks is zero when the
+    first masks meet, and otherwise its target key is a+b raised by one
+    on each slot where the second masks meet (:func:`product_block_key`),
+    so the target's total degree is |a| + |b| plus the number of those
+    slots.
+    """
+    ones = above = 0
+    for k, (o, s, i) in enumerate(zip(group.orders, group.signs, key)):
+        if i and s == 1:
+            if o:
+                above |= 1 << k
+            else:
+                ones |= 1 << k
+    return ones, above
+
+
 def product_block_key(group: GroupSpec, a: Monomial, b: Monomial) -> Monomial | None:
     """The block key of every monomial of a product x ^ y with x in the
     block of ``a`` and y in the block of ``b``, or None when every such
     product is zero.
 
     Slot by slot the target is a+b, except on an untwisted slot where both
-    keys are nonzero: on Z the product dies by the exterior rule
-    ([1] ^ [1] = 0), and on Z_q odd ^ odd dies, so one side is raised and
-    the target is a+b+1.  A twisted Z slot's key is always 0, so its
-    target is 0.
+    keys are nonzero (their :func:`key_masks` meet): on Z the product dies
+    by the exterior rule ([1] ^ [1] = 0), and on Z_q odd ^ odd dies, so
+    one side is raised and the target is a+b+1.  A twisted Z slot's key
+    is always 0, so its target is 0.
     """
-    orders, signs = group.orders, group.signs
-    out = []
-    for o, s, i, j in zip(orders, signs, a, b):
-        if i and j and s == 1:
-            if not o:
-                return None
-            out.append(i + j + 1)
-        else:
-            out.append(i + j)
-    return tuple(out)
+    ones_a, above_a = key_masks(group, a)
+    ones_b, above_b = key_masks(group, b)
+    if ones_a & ones_b:
+        return None
+    raised = above_a & above_b
+    return tuple(i + j + (raised >> k & 1) for k, (i, j) in enumerate(zip(a, b)))
 
 
 def block_pairing(group: GroupSpec, key: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:

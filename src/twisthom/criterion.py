@@ -26,9 +26,9 @@ and all three are exact:
 * degree -- every monomial of a block has at least its key's total
   degree, so when the target key's total is above 2n no monomial of
   degree 2n lies in the block and the product is zero;
-* orbit -- give each slot a type (``_slot_type``): (order, +1) when
-  untwisted, one type for a twisted Z, and one shared type for every
-  twisted finite factor, whatever its order.  On a twisted finite slot
+* orbit -- give each slot a type (``_slot_type``), an int: order + 2
+  when untwisted, 0 for a twisted Z, and 1 shared by every twisted
+  finite factor, whatever its order.  On a twisted finite slot
   the small complex never reads the order: the differential is 2 on odd
   degrees, ``wedge`` reads only whether the order is 0, and j is the
   identity.  Let sigma permute slots of one type, with the Koszul sign
@@ -47,17 +47,25 @@ and all three are exact:
 
 The pass decides one task per orbit and never visits the rest.  The
 block keys fall into single-key orbits O_s (the sorted columns
-(type, A_k)); for each O_s it takes one representative A, and buckets
-every B of every O_t with t >= s by the form of {A, B}.  A bucket of c
-keys is one orbit of tasks, and the orbit's size is read off the bucket:
-|O_s| for the diagonal {A, A}, |O_s| c / 2 for a cross task with
-s == t (each unordered pair is met from both ends), and |O_s| c
-otherwise.  H(sigma A) is isomorphic to H(A), and a block's generator
+(type, A_k)); for each O_s it takes one representative A, and meets
+every B of every O_t with t >= s.  The orbit of the task {A, B} holds
+|O_s| tasks for the diagonal {A, A}, |O_s| / 2 for each B != A of O_s
+(each unordered pair is met from both ends), and |O_s| for each B of a
+later O_t.  H(sigma A) is isomorphic to H(A), and a block's generator
 count is fixed by its homology (its torsion entries all equal the gcd of
-its coefficients), so every task of the orbit has as many pairs as the
-representative's.  The rules run once per bucket and count the whole
-orbit; otherwise the representative's pairs count as formed and the rest
-of the orbit's as skipped by the orbit rule.
+its coefficients), so every task of the orbit has as many pairs as
+{A, B}.  The free and degree rules come first, from each key's total
+degree and its two slot masks (:func:`~twisthom.chains.key_masks`): the
+free rule holds iff the untwisted Z masks meet, the degree rule iff
+|A| + |B| plus the number of slots where the untwisted finite masks meet
+is above 2n.  A pair either rule decides adds its share of the orbit's
+pairs to that rule's count, with no form built; the halves of one
+orbit's pairs are summed twice and halved at the end.  Every other B
+goes into a bucket by the form of {A, B}, and a bucket is one orbit of
+tasks: the representative's pairs count as formed and the rest of the
+orbit's as skipped by the orbit rule.  Only a tested bucket reads its
+target key, and the generating cycles are built on the first product,
+so a cell whose tasks are all skipped or remembered builds none.
 
 Slot inclusions carry the orbit argument from one cell to another.  A
 column is idle when its slot is untwisted and both keys hold 0 there.
@@ -67,12 +75,15 @@ idle slot every monomial of A, of B and of the target block has degree
 complex as the monomials of degree 0 there; it commutes with the
 differential, with ``wedge`` ([0] ^ [0] = [0]) and with j, and maps each
 block isomorphically.  So whether a task passes depends only on its
-reduced form (``_orbit_form``): n, which fixes how many paired slots a
+reduced form (``_packed_form``): n, which fixes how many paired slots a
 monomial of A raises (n - |A|), then the columns that are not idle,
-sorted, the smaller of the two orientations, each column flattened to
-the four ints (order, sign, A_k, B_k) of its type and keys.  A twisted
-column stays even at key 0: there the slot is paired (d[1] = 2[0]) and
-its monomials reach degree 1, so no inclusion drops it.  Within one cell
+each packed into one int, its type, A_k and B_k as digits in base n + 2
+(a key entry is at most n), sorted, the smaller of the two
+orientations.  The packing is one to one and keeps the order of the
+columns (type, A_k, B_k), so equal packed forms mean equal column
+forms.  A twisted column stays even at key 0: there the slot is paired
+(d[1] = 2[0]) and its monomials reach degree 1, so no inclusion drops
+it.  Within one cell
 the number of slots of each type is fixed, so equal reduced forms mean
 equal canonical forms, and the buckets use the reduced form too.  Each
 tested form's outcome goes into a module-level memo (``_TASKS``, the
@@ -102,7 +113,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
-from .chains import Chain, as_degree, block_pairing, product_block_key
+from .chains import Chain, as_degree, block_pairing, key_masks, product_block_key
 from .groups import GroupSpec
 from .homology import (
     HomologyClass,
@@ -216,17 +227,21 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     the witness, the failing pair and block, and the counts (no orbit
     skips).  A task whose reduced form an earlier cell of the process
     decided is not tested again; its remembered outcome counts the same.
+    The presentation's cycles are built at the first product; the ordered
+    pass takes copies (``generating_cycles``), so a witness never shares
+    its terms with the cached cycles.
     """
     n = as_degree(n)
     h = homology(group, n)
-    gens = generating_cycles(group, n)
     jgens: dict = {}
     block_gcds: dict = {}
     sign = -1 if n % 2 else 1
 
     def pair_order(i: int, j: int, key) -> int:
         """The order of z_i ^ j(z_j), symmetrized when i != j, by the block
-        rule of its target block ``key``."""
+        rule of its target block ``key``; the cycles are the
+        presentation's own, built on the first call."""
+        gens = h._cycles
         jz = jgens.get(j)
         if jz is None:
             jz = jgens[j] = inversion_chain(gens[j])
@@ -241,43 +256,55 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     counts = _orbit_pass(group, n, h._layout, pair_order)
     if counts is None:
         keys = [key for key, ids in h._layout.items() for _ in ids]
-        return _ordered_pass(group, n, gens, keys, pair_order)
-    return Verdict(VANISHES, group, n, generators=len(gens), **counts)
+        return _ordered_pass(group, n, generating_cycles(group, n), keys, pair_order)
+    return Verdict(VANISHES, group, n, generators=h.num_generators, **counts)
 
 
 _COUNTS = ("pairs_formed", "skipped_free", "skipped_degree", "skipped_orbit")
 
 
-def _skip_rule(n: int, key) -> str | None:
+def _records(group: GroupSpec, keys) -> dict:
+    """Block key -> (total degree, untwisted Z mask, untwisted finite
+    mask), the masks from :func:`~twisthom.chains.key_masks`."""
+    return {key: (sum(key), *key_masks(group, key)) for key in keys}
+
+
+def _pair_rule(n: int, a: tuple, b: tuple) -> str | None:
     """The provenance field of the rule (free overlap, degree) showing that
-    every product with target block ``key`` is zero in degree 2n, or None."""
-    if key is None:
+    every product of the blocks with records ``a`` and ``b`` is zero in
+    degree 2n, or None."""
+    if a[1] & b[1]:
         return "skipped_free"
-    if sum(key) > 2 * n:
+    if a[0] + b[0] + (a[2] & b[2]).bit_count() > 2 * n:
         return "skipped_degree"
     return None
 
 
-def _slot_type(order: int, sign: int) -> tuple[int, int]:
-    """The slot's type for the orbit rule: (order, +1) when untwisted,
-    (0, -1) for a twisted Z, and (1, -1) for every twisted finite factor,
-    whose order the small complex never reads (no factor has order 1)."""
-    if sign == 1 or order == 0:
-        return (order, sign)
-    return (1, -1)
+def _slot_type(order: int, sign: int) -> int:
+    """The slot's type for the orbit rule: order + 2 when untwisted, 0 for
+    a twisted Z, and 1 for every twisted finite factor, whose order the
+    small complex never reads."""
+    if sign == 1:
+        return order + 2
+    return 1 if order else 0
 
 
-def _orbit_form(n: int, types, a, b) -> tuple:
+def _packed_form(n: int, types, a, b) -> tuple:
     """The reduced canonical form of the unordered block pair {a, b} in
-    degree n, under slot permutations and inclusions: n, then the columns
-    (type, a_k, b_k) with ``types`` the ``_slot_type`` of each slot, idle
-    columns (untwisted, 0 in both keys) dropped, sorted, the smaller of the
-    forms of (a, b) and (b, a), each column flattened to four ints."""
-    ab = [(o, s, i, j) for (o, s), i, j in zip(types, a, b) if i or j or s < 0]
-    ba = [(o, s, j, i) for o, s, i, j in ab]
+    degree n, under slot permutations and inclusions: n, then one int per
+    column that is not idle (untwisted, 0 in both keys), its ``types``
+    entry, a_k and b_k as digits in base n + 2, sorted, the smaller of
+    the forms of (a, b) and (b, a)."""
+    base = n + 2
+    ab, ba = [], []
+    for c, i, j in zip(types, a, b):
+        if i or j or c < 2:
+            c *= base
+            ab.append((c + i) * base + j)
+            ba.append((c + j) * base + i)
     ab.sort()
     ba.sort()
-    return (n, *itertools.chain.from_iterable(min(ab, ba)))
+    return (n, *min(ab, ba))
 
 
 # Outcome (passes or not) of each reduced task form tested so far, oldest
@@ -292,23 +319,31 @@ def _orbit_pass(group: GroupSpec, n: int, blocks: dict, pair_order) -> dict | No
     the range of its generators, and ``pair_order(i, j, key)`` is the
     order of the pair's product in its target block ``key``."""
     types = tuple(map(_slot_type, group.orders, group.signs))
+    records = _records(group, blocks)
     orbits: dict = {}
     for key in blocks:
         orbits.setdefault(tuple(sorted(zip(types, key))), []).append(key)
     orbits = list(orbits.values())
     counts = dict.fromkeys(_COUNTS, 0)
+    twice = dict.fromkeys(_COUNTS, 0)  # pairs met from both ends of one orbit
     for s, orbit in enumerate(orbits):
         a = orbit[0]
-        ia = blocks[a]
+        ia, ra = blocks[a], records[a]
         buckets: dict = {}  # form -> [first key met, its orbit, keys met]
         for t in range(s, len(orbits)):
             for b in orbits[t]:
-                form = _orbit_form(n, types, a, b)
-                entry = buckets.get(form)
-                if entry is None:
-                    buckets[form] = [b, t, 1]
+                rule = _pair_rule(n, ra, records[b])
+                if rule is None:
+                    form = _packed_form(n, types, a, b)
+                    entry = buckets.get(form)
+                    if entry is None:
+                        buckets[form] = [b, t, 1]
+                    else:
+                        entry[2] += 1
+                elif b == a:
+                    counts[rule] += len(ia) * (len(ia) + 1) // 2 * len(orbit)
                 else:
-                    entry[2] += 1
+                    (twice if t == s else counts)[rule] += len(ia) * len(blocks[b]) * len(orbit)
         for form, (b, t, c) in buckets.items():
             ib = blocks[b]
             if b == a:
@@ -316,15 +351,11 @@ def _orbit_pass(group: GroupSpec, n: int, blocks: dict, pair_order) -> dict | No
             else:
                 size = len(ia) * len(ib)
                 tasks = len(orbit) * c // 2 if t == s else len(orbit) * c
-            key = product_block_key(group, a, b)
-            rule = _skip_rule(n, key)
-            if rule is not None:
-                counts[rule] += size * tasks
-                continue
             counts["pairs_formed"] += size
             counts["skipped_orbit"] += size * (tasks - 1)
             passes = _TASKS.get(form)
             if passes is None:
+                key = product_block_key(group, a, b)
                 pairs = (itertools.chain(zip(ia, ia), itertools.combinations(ia, 2)) if a == b
                          else itertools.product(ia, ib))
                 passes = _TASKS[form] = all(pair_order(i, j, key) == 1 for i, j in pairs)
@@ -332,6 +363,8 @@ def _orbit_pass(group: GroupSpec, n: int, blocks: dict, pair_order) -> dict | No
                     del _TASKS[next(iter(_TASKS))]
             if not passes:
                 return None
+    for rule, pairs in twice.items():
+        counts[rule] += pairs // 2
     return counts
 
 
@@ -341,14 +374,15 @@ def _ordered_pass(group: GroupSpec, n: int, gens, keys, pair_order) -> Verdict:
     witness's chi has that product's order: for z_i + z_j it adds the two
     diagonals, which this pass has already seen bound or vanish."""
     m = len(gens)
+    records = _records(group, keys)
     counts = dict.fromkeys(_COUNTS, 0)
     for i, j in itertools.chain(zip(range(m), range(m)), itertools.combinations(range(m), 2)):
-        key = product_block_key(group, keys[i], keys[j])
-        rule = _skip_rule(n, key)
+        rule = _pair_rule(n, records[keys[i]], records[keys[j]])
         if rule is not None:
             counts[rule] += 1
             continue
         counts["pairs_formed"] += 1
+        key = product_block_key(group, keys[i], keys[j])
         order = pair_order(i, j, key)
         if order != 1:
             witness = gens[i] if i == j else gens[i] + gens[j]

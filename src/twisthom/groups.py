@@ -57,12 +57,20 @@ class CyclicFactor:
     """One cyclic factor.  ``order`` is 0 for an infinite factor, else q >= 2.
 
     ``sign`` is +1 or -1 and records how a generator acts on coefficients.
+    Both must be ints (a bool counts as its int): ``CyclicFactor(2.0)``
+    would equal and hash like Z_2 while reaching code that needs an int.
     """
 
     order: int
     sign: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.order, int):
+            raise InvalidOrderError(f"cyclic factor order must be an integer, got {self.order!r}")
+        if not isinstance(self.sign, int):
+            raise InvalidSignError(f"factor sign must be +1 or -1, got {self.sign!r}")
+        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "sign", int(self.sign))
         if self.order < 0 or self.order == 1:
             raise InvalidOrderError(f"cyclic factor order must be 0 (infinite) or >= 2, got {self.order}")
         if self.sign not in (1, -1):

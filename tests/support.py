@@ -22,7 +22,7 @@ from twisthom import (
     zero_chain,
 )
 from twisthom.chains import _atomic_boundary, basis, block_key, product_block_key
-from twisthom.criterion import _skip_rule, _slot_type, chi_chain
+from twisthom.criterion import chi_chain
 from twisthom.homology import class_order, generating_cycles, is_boundary
 from twisthom.pontryagin import _atomic_inversion, inversion_chain, wedge
 
@@ -206,6 +206,37 @@ def reference_vanishing(group: GroupSpec, n: int):
     return "Vanishes", None, None
 
 
+def reference_slot_type(order: int, sign: int) -> tuple[int, int]:
+    """The slot's type for the orbit rule as a pair: (order, +1) when
+    untwisted, (0, -1) for a twisted Z, and (1, -1) for every twisted
+    finite factor (no factor has order 1)."""
+    if sign == 1 or order == 0:
+        return (order, sign)
+    return (1, -1)
+
+
+def reference_skip_rule(n: int, target) -> str | None:
+    """The rule (free overlap, degree) that a product with block key
+    ``target`` from ``product_block_key`` falls under in degree 2n, or None."""
+    if target is None:
+        return "skipped_free"
+    if sum(target) > 2 * n:
+        return "skipped_degree"
+    return None
+
+
+def reference_orbit_form(n: int, types, a, b) -> tuple:
+    """The reduced canonical form of {a, b} as a tuple: n, then the
+    columns (type, a_k, b_k) over ``reference_slot_type`` types, idle
+    columns (untwisted, 0 in both keys) dropped, sorted, the smaller of
+    the two orientations, each column flattened to four ints."""
+    ab = [(o, s, i, j) for (o, s), i, j in zip(types, a, b) if i or j or s < 0]
+    ba = [(o, s, j, i) for o, s, i, j in ab]
+    ab.sort()
+    ba.sort()
+    return (n, *itertools.chain.from_iterable(min(ab, ba)))
+
+
 def reference_orbit_counts(group: GroupSpec, n: int) -> tuple[int, int, int, int]:
     """The provenance counts of a vanishing cell from a loop over every
     unordered block pair: ``(formed, free, degree, orbit)``.  A pair is
@@ -217,7 +248,7 @@ def reference_orbit_counts(group: GroupSpec, n: int) -> tuple[int, int, int, int
     blocks: dict = {}
     for i, z in enumerate(generating_cycles(group, n)):
         blocks.setdefault(block_key(group, next(iter(z.terms))), []).append(i)
-    types = tuple(map(_slot_type, group.orders, group.signs))
+    types = tuple(map(reference_slot_type, group.orders, group.signs))
     counts = dict.fromkeys(("skipped_free", "skipped_degree", "formed", "orbit"), 0)
     tested = set()
     keys = list(blocks)
@@ -225,7 +256,7 @@ def reference_orbit_counts(group: GroupSpec, n: int) -> tuple[int, int, int, int
         for b in keys[s:]:
             m, k = len(blocks[a]), len(blocks[b])
             size = m * (m + 1) // 2 if a == b else m * k
-            rule = _skip_rule(n, product_block_key(group, a, b))
+            rule = reference_skip_rule(n, product_block_key(group, a, b))
             if rule is None:
                 form = tuple(min(sorted(zip(types, a, b)), sorted(zip(types, b, a))))
                 rule = "orbit" if form in tested else "formed"

@@ -36,6 +36,19 @@ def test_summary_of_canned_pairs():
         "parent: failed 0 of 500 attempted",
         "change: failed 1 of 500 attempted",
     ]
+    summary = json.loads(bench_pairs.summary_json("sweep", 7, 25, END_TO_END,
+                                                  list(zip(parent, change))))
+    assert summary["workload"] == "sweep" and summary["pairs"] == 5
+    assert summary["metrics"]["run_s"] == {
+        "unit": "s", "bound": 0.25,
+        "parent": {"median": 1.0, "q1": 1.0, "q3": 1.1},
+        "change": {"median": 0.95, "q1": 0.9, "q3": 1.0},
+        "relative": pytest.approx(-0.05), "lower": 4, "pairs": 5,
+        "worse": False, "unresolved": False}
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert (rss["worse"], rss["lower"], rss["relative"]) == (True, 0, pytest.approx(4 / 30))
+    assert summary["totals"] == {"parent": {"failed": 0, "attempted": 500},
+                                 "change": {"failed": 1, "attempted": 500}}
 
 
 def test_a_metric_wider_than_its_bound_is_unresolved_unless_every_run_beats_the_parent():
@@ -89,7 +102,15 @@ def test_main_runs_this_interpreter_for_the_benchmark_run_length(tmp_path, monke
     for cmd, side in calls:
         assert cmd == [bench_pairs.sys.executable, str(tmp_path / side / "perfbench" / "run.py"),
                        "--workload", "sweep", "--seed", "7", "--seconds", "25", "--trace", "0"]
-    assert capsys.readouterr().out.startswith("workload sweep  seed 7  pairs 10  seconds 25\n")
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "workload sweep  seed 7  pairs 10  seconds 25"
+    # One line per metric and side, then the JSON summary last.
+    assert len(out) == 1 + len(END_TO_END) + 2 + 1
+    summary = json.loads(out[-1])
+    assert (summary["workload"], summary["seed"], summary["pairs"], summary["seconds"]) == (
+        "sweep", 7, 10, 25)
+    assert list(summary["metrics"]) == ["run_s", "peak_rss_mb"]
+    assert summary["metrics"]["run_s"]["unresolved"] is False
 
 
 @pytest.mark.parametrize("argv", [["--pairs", "9"], ["--seconds", "10"]])

@@ -14,6 +14,8 @@ from support import (
     random_chain,
     random_cycle,
     reference_orbit_counts,
+    reference_orbit_form,
+    reference_slot_type,
     reference_vanishing,
     twisted_cells,
 )
@@ -516,6 +518,83 @@ def test_each_reduced_task_form_has_one_outcome():
     assert [form for form, seen in outcomes.items() if len(seen) > 1] == []
     assert {False} in outcomes.values() and {True} in outcomes.values()
     assert sum(len(groups) > 1 for groups in sources.values()) > len(sources) // 2
+
+
+def _mask_cells() -> list[tuple[GroupSpec, int]]:
+    return list(dict.fromkeys(criterion_grid() + twisted_cells() + mixed_slot_family()))
+
+
+def test_key_masks_give_the_product_block_key_rules():
+    # The pass reads the free and degree rules off each key's total degree
+    # and two slot masks, never building the target key of a skipped pair:
+    # on every ordered key pair, the untwisted Z masks meet iff
+    # product_block_key says None, and otherwise |a| + |b| plus the common
+    # bits of the untwisted finite masks is the target's total degree.
+    pairs = dead = 0
+    for g, n in _mask_cells():
+        keys = list(homology(g, n)._layout)
+        records = criterion._records(g, keys)
+        for a, b in itertools.product(keys, repeat=2):
+            (da, ones_a, above_a), (db, ones_b, above_b) = records[a], records[b]
+            target = product_block_key(g, a, b)
+            assert (target is None) == bool(ones_a & ones_b), (g, a, b)
+            if target is not None:
+                assert sum(target) == da + db + (above_a & above_b).bit_count(), (g, a, b)
+            pairs += 1
+            dead += target is None
+    assert pairs == 810936 and 0 < dead < pairs
+
+
+def test_packed_forms_are_equal_iff_the_tuple_forms_are():
+    # The memo is keyed by packed forms across every cell of the process,
+    # so on each pair the rules let through (the pairs the memo sees), two
+    # packed forms agree iff the reference tuple forms, over (order, sign)
+    # slot types, agree.
+    by_packed: dict = {}
+    by_tuple: dict = {}
+    for g, n in _mask_cells():
+        keys = list(homology(g, n)._layout)
+        records = criterion._records(g, keys)
+        types = tuple(map(_slot_type, g.orders, g.signs))
+        reference = tuple(map(reference_slot_type, g.orders, g.signs))
+        for s, a in enumerate(keys):
+            for b in keys[s:]:
+                if criterion._pair_rule(n, records[a], records[b]) is None:
+                    packed = criterion._packed_form(n, types, a, b)
+                    form = reference_orbit_form(n, reference, a, b)
+                    by_packed.setdefault(packed, set()).add(form)
+                    by_tuple.setdefault(form, set()).add(packed)
+    assert all(len(forms) == 1 for forms in by_packed.values())
+    assert all(len(forms) == 1 for forms in by_tuple.values())
+    assert len(by_packed) > 1000
+
+
+@pytest.mark.parametrize("group, n", [("Z^5", 3), ("Z_2 x Z_2~", 5), ("Z^2 x Z_2", 3)])
+def test_cycles_are_built_only_for_a_tested_task(group, n, monkeypatch):
+    # Z^5 in degree 3 skips every pair by the free rule, Z_2 x Z_2~ in
+    # degree 5 by the degree rule.  Z^2 x Z_2 in degree 3 tests one task:
+    # cold it builds the cycles, and a fresh presentation whose task is
+    # already remembered builds none.
+    monkeypatch.setattr(criterion, "_TASKS", {})
+    homology.cache_clear()
+    v = vanishes_for_all(G(group), n)
+    assert v.vanishes and v.generators == homology(G(group), n).num_generators > 0
+    assert ("_cycles" in vars(homology(G(group), n))) == (v.pairs_formed > 0)
+    homology.cache_clear()
+    assert vanishes_for_all(G(group), n).pairs_formed == v.pairs_formed
+    assert "_cycles" not in vars(homology(G(group), n))
+
+
+@pytest.mark.parametrize("group, n", [("Z^4", 2), ("Z~", 0)])
+def test_a_witness_does_not_alias_the_cached_cycles(group, n):
+    # Z^4 in degree 2 fails on a cross pair, Z~ in degree 0 on a diagonal,
+    # whose witness is one generating cycle.
+    v = vanishes_for_all(G(group), n)
+    assert v.kind == "NonzeroWitness"
+    before = [format_chain(z) for z in generating_cycles(G(group), n)]
+    v.witness.terms.clear()
+    v.witness.terms[(0,) * len(G(group))] = 7
+    assert [format_chain(z) for z in generating_cycles(G(group), n)] == before
 
 
 def _untwisted_cover_family() -> list[tuple[GroupSpec, int]]:

@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given
 
-from support import G, group_strategy
+from support import G, clear_stores, group_strategy
 from twisthom import (
     CyclicFactor,
     GroupSpec,
@@ -95,8 +95,30 @@ def test_factor_validation_direct():
         CyclicFactor(2, 0)
     with pytest.raises(InvalidSignError):
         CyclicFactor(3, -1)
+    for order in (2.0, 2.5, "3", None):
+        with pytest.raises(InvalidOrderError):
+            CyclicFactor(order)
+    for sign in (1.0, -1.0, "1"):
+        with pytest.raises(InvalidSignError):
+            CyclicFactor(2, sign)
     assert CyclicFactor(0, -1).twisted
     assert not CyclicFactor(4).twisted
+    # A bool counts as its int, as it does in monomials.
+    assert CyclicFactor(False, True) == CyclicFactor(0)
+    assert type(CyclicFactor(False).order) is int and type(CyclicFactor(0, True).sign) is int
+    with pytest.raises(InvalidOrderError):
+        CyclicFactor(True)
+
+
+def test_a_float_order_is_refused_cold_and_warm():
+    # Z_2.0 would equal and hash like Z_2: a cold homology call reached
+    # int-only code, a warm one returned Z_2's cached presentation.
+    clear_stores()
+    with pytest.raises(InvalidOrderError):
+        homology(GroupSpec((CyclicFactor(2.0),)), 1)
+    homology(G("Z_2"), 1)
+    with pytest.raises(InvalidOrderError):
+        homology(GroupSpec((CyclicFactor(2.0),)), 1)
 
 
 def test_group_order_and_flags():

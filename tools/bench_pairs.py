@@ -19,9 +19,10 @@ bound.  A metric whose parent quartiles lie further apart than bound x
 the parent's median is marked ``unresolved``: its run-to-run spread is
 wider than the bound, so a median inside the bound does not show it
 unchanged.  The mark is left off when every change run beats every
-parent run.  The ``failed`` and ``attempted`` totals of each side follow.  A
-run without a result line stops the tool with exit status 1.  Standard
-library only.
+parent run.  The ``failed`` and ``attempted`` totals of each side follow.
+The last line is the same summary as one JSON object (``summary_json``),
+for saving beside the text.  A run without a result line stops the tool
+with exit status 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -71,38 +72,66 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def _spread(values: list[float]) -> str:
-    """median [first quartile, third quartile]"""
+def _spread(values: list[float]) -> dict:
+    """median, first quartile, third quartile"""
     q1, q3 = _quartiles(values)
-    return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def compare(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> dict:
+    """Metric name -> the comparison of (parent result, change result)
+    pairs on one end-to-end metric of ``BENCHMARK.json``: each side's
+    median and quartiles, the relative change of the medians, the pairs
+    in which the change was lower, and the ``worse`` and ``unresolved``
+    marks."""
+    out = {}
+    for m in end_to_end:
+        name, bound = m["name"], m["bound"]
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        ps, cs = _spread(parent), _spread(change)
+        pm, cm = ps["median"], cs["median"]
+        if m["better"] == "lower":
+            worse, beats = cm > pm * (1 + bound), max(change) < min(parent)
+        else:
+            worse, beats = cm < pm * (1 - bound), min(change) > max(parent)
+        out[name] = {"unit": m["unit"], "bound": bound, "parent": ps, "change": cs,
+                     "relative": (cm - pm) / pm if pm else 0.0,
+                     "lower": sum(c < p for p, c in zip(parent, change)), "pairs": len(pairs),
+                     "worse": worse,
+                     "unresolved": ps["q3"] - ps["q1"] > bound * abs(pm) and not beats}
+    return out
+
+
+def _totals(pairs: list[tuple[dict, dict]]) -> dict:
+    """side -> its failed and attempted totals"""
+    return {side: {key: sum(pair[k][key] for pair in pairs) for key in ("failed", "attempted")}
+            for k, side in enumerate(("parent", "change"))}
 
 
 def summarize(end_to_end: list[dict], pairs: list[tuple[dict, dict]]) -> list[str]:
     """Report lines for (parent result, change result) pairs, one line per
     end-to-end metric of ``BENCHMARK.json``, then the failure totals."""
     lines = []
-    for m in end_to_end:
-        name, bound = m["name"], m["bound"]
-        parent = [p["metrics"][name]["value"] for p, _ in pairs]
-        change = [c["metrics"][name]["value"] for _, c in pairs]
-        pm, cm = statistics.median(parent), statistics.median(change)
-        rel = (cm - pm) / pm if pm else 0.0
-        lower = sum(c < p for p, c in zip(parent, change))
-        if m["better"] == "lower":
-            worse, beats = cm > pm * (1 + bound), max(change) < min(parent)
-        else:
-            worse, beats = cm < pm * (1 - bound), min(change) > max(parent)
-        q1, q3 = _quartiles(parent)
-        unresolved = q3 - q1 > bound * abs(pm) and not beats
-        lines.append(f"{name} ({m['unit']}): {_spread(parent)} -> {_spread(change)}  "
-                     f"{rel:+.1%}  lower in {lower}/{len(pairs)}  "
-                     f"worse by more than {bound:g}: {'YES' if worse else 'no'}"
-                     + ("  unresolved" if unresolved else ""))
-    for side, k in (("parent", 0), ("change", 1)):
-        failed = sum(pair[k]["failed"] for pair in pairs)
-        attempted = sum(pair[k]["attempted"] for pair in pairs)
-        lines.append(f"{side}: failed {failed} of {attempted} attempted")
+    for name, r in compare(end_to_end, pairs).items():
+        p, c = r["parent"], r["change"]
+        lines.append(f"{name} ({r['unit']}): {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+                     f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
+                     f"{r['relative']:+.1%}  lower in {r['lower']}/{r['pairs']}  "
+                     f"worse by more than {r['bound']:g}: {'YES' if r['worse'] else 'no'}"
+                     + ("  unresolved" if r["unresolved"] else ""))
+    for side, t in _totals(pairs).items():
+        lines.append(f"{side}: failed {t['failed']} of {t['attempted']} attempted")
     return lines
+
+
+def summary_json(workload: str, seed: int, seconds: int, end_to_end: list[dict],
+                 pairs: list[tuple[dict, dict]]) -> str:
+    """The summary as one line of JSON: the run settings, ``compare`` of
+    every end-to-end metric, and each side's failure totals."""
+    return json.dumps({"workload": workload, "seed": seed, "pairs": len(pairs),
+                       "seconds": seconds, "metrics": compare(end_to_end, pairs),
+                       "totals": _totals(pairs)})
 
 
 def _pair_count(text: str) -> int:
@@ -139,6 +168,7 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}  seed {args.seed}  pairs {args.pairs}  "
           f"seconds {seconds}")
     print("\n".join(summarize(end_to_end, pairs)))
+    print(summary_json(args.workload, args.seed, seconds, end_to_end, pairs))
     return 0
 
 
