@@ -241,9 +241,9 @@ def reference_orbit_counts(group: GroupSpec, n: int) -> tuple[int, int, int, int
     """The provenance counts of a vanishing cell from a loop over every
     unordered block pair: ``(formed, free, degree, orbit)``.  A pair is
     counted under the free-overlap or degree rule when one holds, else
-    as formed when its orbit form (the columns (type, a_k, b_k) over the
-    criterion's slot types, sorted, the smaller orientation) is new, else
-    as an orbit skip; each counts its generator pairs.
+    as formed when its orbit form (the columns (type, a_k, b_k) over
+    ``reference_slot_type``, sorted, the smaller orientation) is new,
+    else as an orbit skip; each counts its generator pairs.
     """
     blocks: dict = {}
     for i, z in enumerate(generating_cycles(group, n)):

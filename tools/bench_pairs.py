@@ -64,17 +64,12 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
                             f"{proc.stderr[-2000:]}") from None
 
 
-def _quartiles(values: list[float]) -> tuple[float, float]:
-    """(first quartile, third quartile)"""
-    if len(values) < 2:
-        return values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q3
-
-
 def _spread(values: list[float]) -> dict:
     """median, first quartile, third quartile"""
-    q1, q3 = _quartiles(values)
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
