@@ -13,11 +13,15 @@ every entry point takes a cap and refuses to materialize anything larger.
 The workhorse is one reduced complex per group, kept by ``_reduced`` (an
 ``lru_cache`` of 16 groups) and extended one differential at a time,
 lowest degree first.  Each d_k is built once and reduced by cancelling
-unit entries (Gaussian reduction of based complexes): plain sweeps over
-the columns, each cancelling a column's unit in its shortest row,
-repeated until a sweep finds none.  Each differential keeps one pivot
-log: its row halves lift generators of H_k back to honest bar cycles,
-its column halves push cycles of H_{k-1} into the reduced basis.
+unit entries (Gaussian reduction of based complexes): a sweep over the
+columns cancels each column's unit in its shortest row, and repeated
+sweeps visit only the columns a cancellation changed after the sweep
+had passed them, until there are none.  A column left unchanged since a
+visit that found no unit has none still, so these are the pivots that
+sweeping every column until a sweep finds none would give, in the same
+order.  Each differential keeps one pivot log: its row halves lift
+generators of H_k back to honest bar cycles, its column halves push
+cycles of H_{k-1} into the reduced basis.
 H_{k-1} is presented as soon as d_k is reduced.  The complex is built on
 the normalized subquotient (tuples with no identity entries), which has
 the same homology on a basis of (|G|-1)^k elements instead of |G|^k.
@@ -209,44 +213,75 @@ def _cancel_units(cols, rows):
     """Cancel unit entries until none is left, yielding (row, column,
     unit, rest of its row, rest of its column) after each one.
 
-    Each sweep visits every column once and, where the column has a
-    unit, cancels the one whose row is shortest, which keeps the Schur
-    fill small.  A Schur update can create units in columns the sweep
-    has passed, so sweeps repeat until one finds no unit.
+    Sweeps run over the columns in their dict order.  Where a visited
+    column has a unit, the one whose row r is shortest is cancelled,
+    which keeps the Schur fill small: each other column c2 on row r
+    loses its entry v2 there and gains -v2 u times the rest of the pivot
+    column (u is +-1, so v2 // u = v2 u).  An update can create a unit in
+    a column the sweep has passed, so sweeps repeat, each visiting only
+    the columns updated since their last visit.  The pivots are those of
+    sweeps over every column, repeated until one finds no unit: a column
+    that found no unit at its last visit and has not changed since has
+    none now, so such a sweep would pass it as well.
     """
-    found = True
-    while found:
-        found = False
+    # The columns updated since their last visit: all of them at first.
+    # A pivot column with no other entry only drops row r from each c2,
+    # which creates no unit, so it touches none.
+    touched = set(cols)
+    while touched:
         for c in list(cols):
+            if c not in touched:
+                continue
+            touched.discard(c)
             col = cols[c]
             r = None
             for rk, v in col.items():
-                if v in (1, -1) and (r is None or len(rows[rk]) < len(rows[r])):
-                    r = rk
+                if -2 < v < 2 and (r is None or len(rows[rk]) < shortest):
+                    r, shortest = rk, len(rows[rk])
             if r is None:
                 continue
-            found = True
-            u = col[r]
-            rowvals = {c2: cols[c2][r] for c2 in rows[r] if c2 != c}
-            colvals = {rk: v for rk, v in col.items() if rk != r}
-            for c2, v2 in rowvals.items():
-                lam = v2 // u
-                col2 = cols[c2]
-                for rk, val in colvals.items():
-                    w = col2.get(rk, 0) - lam * val
-                    if w:
-                        if rk not in col2:
-                            rows[rk].add(c2)
-                        col2[rk] = w
-                    elif rk in col2:
-                        del col2[rk]
-                        rows[rk].discard(c2)
-                del col2[r]
-            for rk in colvals:
+            u = col.pop(r)
+            rowvals = {}
+            if len(col) == 1:
+                # The rest of the pivot column is one entry (rk, val).
+                [(rk, val)] = col.items()
+                holders, val = rows[rk], val * u
+                for c2 in rows[r]:
+                    if c2 != c:
+                        col2 = cols[c2]
+                        v2 = rowvals[c2] = col2.pop(r)
+                        old = col2.get(rk)
+                        if old is None:
+                            holders.add(c2)
+                            col2[rk] = -v2 * val
+                        elif old != v2 * val:
+                            col2[rk] = old - v2 * val
+                        else:
+                            del col2[rk]
+                            holders.discard(c2)
+            else:
+                for c2 in rows[r]:
+                    if c2 != c:
+                        col2 = cols[c2]
+                        v2 = rowvals[c2] = col2.pop(r)
+                        lam = v2 * u
+                        for rk, val in col.items():
+                            old = col2.get(rk)
+                            if old is None:
+                                rows[rk].add(c2)
+                                col2[rk] = -lam * val
+                            elif old != lam * val:
+                                col2[rk] = old - lam * val
+                            else:
+                                del col2[rk]
+                                rows[rk].discard(c2)
+            if col:
+                touched.update(rowvals)
+            for rk in col:
                 rows[rk].discard(c)
             del cols[c]
             del rows[r]
-            yield r, c, u, rowvals, colvals
+            yield r, c, u, rowvals, col
 
 
 class _Complex:
@@ -362,19 +397,19 @@ class _Complex:
             del prev[r]
         self.log.append(log)
         # Present H_{k-1} = ker d_{k-1} / im d_k on the surviving basis,
-        # keyed by code.
-        e_columns = {key: prev[key] for key in sorted(prev)}
+        # keyed by code.  Columns are built in ascending code order and
+        # only ever deleted, so prev and cols are in code order already.
         nrows = len({rk for col in prev.values() for rk in col})
         # Many surviving columns of d_k are zero or repeats after
         # cancellation; only the span matters for the quotient, so keep
         # one per sign class and skip the zeros.
         spans = {}
-        for key in sorted(cols):
-            items = sorted(cols[key].items())
-            if items:
+        for col in cols.values():
+            if col:
+                items = sorted(col.items())
                 sign = -1 if items[0][1] < 0 else 1
-                spans.setdefault(tuple((rk, sign * v) for rk, v in items), cols[key])
-        self.pres.append(quotient_presentation(e_columns, nrows, list(spans.values())))
+                spans.setdefault(tuple((rk, sign * v) for rk, v in items), col)
+        self.pres.append(quotient_presentation(prev, nrows, list(spans.values())))
         self.cols = cols
         self.top = k
 
@@ -427,10 +462,19 @@ def _reduced(group: GroupSpec) -> _Complex:
     return _Complex(group)
 
 
+def _as_cap(cap) -> int:
+    """A cap argument as an int, checked before any work: anything but an
+    int is refused with ``TypeError``, and a bool is read as its int."""
+    if not isinstance(cap, int):
+        raise TypeError(f"bar cap must be an integer, got {cap!r}")
+    return int(cap)
+
+
 def _complex(group: GroupSpec, top: int, cap: int) -> _Complex:
     """The group's complex through degree ``top``.  Bar degrees grow
     with k as |G|^k, so checking the cap at ``top`` alone, before any
     work, covers every degree below it."""
+    cap = _as_cap(cap)
     size = group.group_order ** top
     if size > cap:
         raise CapExceededError(f"bar degree {top} needs {size} basis elements, cap is {cap}")
@@ -442,7 +486,7 @@ def _complex(group: GroupSpec, top: int, cap: int) -> _Complex:
 
 def bar_homology(group: GroupSpec, n: int, cap: int = BAR_CAP) -> AbelianType:
     """Isomorphism type of H_n computed from the bar complex alone."""
-    n = as_degree(n)
+    n, cap = as_degree(n), _as_cap(cap)
     if not group.is_finite:
         raise InfiniteGroupError("bar computations need a finite group")
     if n < 0:
@@ -458,9 +502,10 @@ def chi_profile(source: str, group: GroupSpec, n: int, cap: int = BAR_CAP):
     bar complex, "small" entirely over the small complex.  Both routes
     compute the same natural pairing, so the multisets must agree; that
     agreement is what the oracle comparison checks.  Returned as a sorted
-    tuple of pairs.  A negative ``n`` is refused on either route.
+    tuple of pairs.  A negative ``n`` is refused on either route, and so
+    is a ``cap`` that is not an int, though only the bar route reads it.
     """
-    n = as_degree(n)
+    n, cap = as_degree(n), _as_cap(cap)
     if n < 0:
         raise ValueError("homology degree must be nonnegative")
     if source == "bar":

@@ -94,13 +94,17 @@ class GroupSpec:
     Equality and hashing use the ``(order, sign)`` pairs, and the hash is
     computed once here: every cache in the package is keyed on groups.
     ``orders`` and ``signs`` are the per-slot tuples the chain and product
-    loops read.
+    loops read.  ``factors`` may be any iterable of :class:`CyclicFactor`;
+    anything else in it raises ``GroupSpecError`` naming its position.
     """
 
     factors: tuple[CyclicFactor, ...] = ()
 
     def __post_init__(self):
         factors = tuple(self.factors)
+        for i, f in enumerate(factors):
+            if not isinstance(f, CyclicFactor):
+                raise GroupSpecError(f"factor {i} is not a CyclicFactor: {f!r}")
         key = tuple((f.order, f.sign) for f in factors)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_key", key)

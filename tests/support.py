@@ -373,3 +373,43 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def reference_cancel_units(cols, rows):
+    """The unit-cancelling loop as it was before the bar reduction fused
+    its Schur update and re-swept only touched columns: full sweeps over
+    every column, repeated until one finds no unit.  ``bar._cancel_units``
+    must yield the same log and leave the same columns."""
+    found = True
+    while found:
+        found = False
+        for c in list(cols):
+            col = cols[c]
+            r = None
+            for rk, v in col.items():
+                if v in (1, -1) and (r is None or len(rows[rk]) < len(rows[r])):
+                    r = rk
+            if r is None:
+                continue
+            found = True
+            u = col[r]
+            rowvals = {c2: cols[c2][r] for c2 in rows[r] if c2 != c}
+            colvals = {rk: v for rk, v in col.items() if rk != r}
+            for c2, v2 in rowvals.items():
+                lam = v2 // u
+                col2 = cols[c2]
+                for rk, val in colvals.items():
+                    w = col2.get(rk, 0) - lam * val
+                    if w:
+                        if rk not in col2:
+                            rows[rk].add(c2)
+                        col2[rk] = w
+                    elif rk in col2:
+                        del col2[rk]
+                        rows[rk].discard(c2)
+                del col2[r]
+            for rk in colvals:
+                rows[rk].discard(c)
+            del cols[c]
+            del rows[r]
+            yield r, c, u, rowvals, colvals

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from support import ORACLE_GROUPS, PROPERTY_GROUPS, G, random_chain
+from support import ORACLE_GROUPS, PROPERTY_GROUPS, G, random_chain, reference_cancel_units
 from twisthom import AbelianType, CapExceededError, InfiniteGroupError, bar, homology_type
 from twisthom.bar import (
     BarChain,
@@ -19,7 +19,7 @@ from twisthom.bar import (
     omega_of,
     shuffle_product,
 )
-from twisthom.bar import _Complex, _key_boundary
+from twisthom.bar import _cancel_units, _Complex, _key_boundary
 from twisthom.chains import (
     DegreeMismatchError,
     GroupMismatchError,
@@ -240,6 +240,28 @@ def test_bar_entry_points_refuse_a_non_integer_degree():
         assert chi_profile(source, G("Z_2"), True) == chi_profile(source, G("Z_2"), 1)
 
 
+
+def test_bar_entry_points_refuse_a_cap_that_is_not_an_int():
+    # cap="9" used to fail inside the size comparison with "'>' not
+    # supported".  The cap is checked before any work, and a bool is
+    # read as its int.
+    bar._reduced.cache_clear()
+    bar_homology(G("Z_2"), 1)
+    before = bar._reduced.cache_info()
+    for cap in ("9", 9.0, None, 1.5):
+        for refused in (lambda: bar_homology(G("Z_3"), 1, cap),
+                        lambda: chi_profile("bar", G("Z_2"), 1, cap),
+                        lambda: chi_profile("small", G("Z_2"), 1, cap),
+                        lambda: bar._complex(G("Z_2"), 2, cap)):
+            with pytest.raises(TypeError, match="bar cap must be an integer"):
+                refused()
+        # No complex was even looked up, so none was made or extended.
+        assert bar._reduced.cache_info() == before
+    with pytest.raises(CapExceededError, match="cap is 1$"):
+        bar_homology(G("Z_2"), 0, True)
+    assert bar._complex(G("Z_2"), 0, True).top >= 0
+    assert bar_homology(G("Z_3"), 2, cap=27) == homology_type(G("Z_3"), 2)
+
 def test_caps():
     with pytest.raises(CapExceededError):
         bar_homology(G("Z_3 x Z_3"), 4, cap=20000)
@@ -337,6 +359,61 @@ def test_coded_columns_match_key_boundary(group):
             assert rows == holders
             # Every entry on a row is keyed on prev's own int object.
             assert {id(f) for col in cols.values() for f in col} <= {id(f) for f in prev}
+
+
+
+def _cancellation(cancel, cols, rows):
+    """The log of ``cancel`` on the columns and the columns it leaves, as
+    item lists, so that dict order counts; and how many of its pivots
+    came from a sweep after the first.  Sweeps visit the columns in their
+    starting order, so a pivot on a column before the last pivot's column
+    opens a new sweep."""
+    position = {c: i for i, c in enumerate(cols)}
+    log, sweep, later, last = [], 1, 0, -1
+    for r, c, u, rowvals, colvals in cancel(cols, rows):
+        log.append((r, c, u, list(rowvals.items()), list(colvals.items())))
+        if position[c] < last:
+            sweep += 1
+        later += sweep > 1
+        last = position[c]
+    return log, [(c, list(col.items())) for c, col in cols.items()], later
+
+
+def _random_matrix(rng):
+    """Sparse columns keyed by distinct ints in shuffled order, entries
+    +-1..+-3, some columns empty, and the reverse index from rows."""
+    cols = {}
+    for c in rng.sample(range(100), rng.randint(1, 24)):
+        cols[c] = {r: rng.choice((-3, -2, -1, 1, 2, 3)) for r in rng.sample(range(16), rng.randint(0, 6))}
+    rows = {}
+    for c, col in cols.items():
+        for r in col:
+            rows.setdefault(r, set()).add(c)
+    return cols, rows
+
+
+def test_unit_cancellation_matches_full_sweeps():
+    # _cancel_units re-sweeps only the columns a Schur update touched; it
+    # must give the log and the survivors of sweeping every column again
+    # (reference_cancel_units), pivot for pivot, dict order included.
+    later = 0
+    for group in ORACLE_GROUPS:
+        g = G(group)
+        cx = _Complex(g)
+        while g.group_order ** (cx.top + 1) <= 60000:
+            k = cx.top + 1
+            want = _cancellation(reference_cancel_units, *cx._columns(k, cx.cols))
+            assert _cancellation(_cancel_units, *cx._columns(k, cx.cols)) == want, (group, k)
+            later += want[2]
+            cx._extend()
+    rng = random.Random(97)
+    for _ in range(2000):
+        seed = rng.random()
+        want = _cancellation(reference_cancel_units, *_random_matrix(random.Random(seed)))
+        assert _cancellation(_cancel_units, *_random_matrix(random.Random(seed))) == want, seed
+        later += want[2]
+    # Some pivots are found only by a repeated sweep.
+    assert later > 0
 
 
 @pytest.mark.parametrize("group, n", [
