@@ -110,7 +110,6 @@ def test_factor_validation_direct():
         CyclicFactor(True)
 
 
-
 def test_group_spec_refuses_factors_that_are_not_cyclic_factors():
     # A tuple or a string in place of a CyclicFactor used to fail with a
     # bare AttributeError on its missing .order.
@@ -120,6 +119,7 @@ def test_group_spec_refuses_factors_that_are_not_cyclic_factors():
     # Any iterable of factors is accepted and stored as a tuple.
     g = GroupSpec([CyclicFactor(2), CyclicFactor(0, -1)])
     assert g == G("Z_2 x Z~") and g.factors == (CyclicFactor(2), CyclicFactor(0, -1))
+
 
 def test_a_float_order_is_refused_cold_and_warm():
     # Z_2.0 would equal and hash like Z_2: a cold homology call reached
