@@ -13,15 +13,11 @@ every entry point takes a cap and refuses to materialize anything larger.
 The workhorse is one reduced complex per group, kept by ``_reduced`` (an
 ``lru_cache`` of 16 groups) and extended one differential at a time,
 lowest degree first.  Each d_k is built once and reduced by cancelling
-unit entries (Gaussian reduction of based complexes): a sweep over the
-columns cancels each column's unit in its shortest row, and repeated
-sweeps visit only the columns a cancellation changed after the sweep
-had passed them, until there are none.  A column left unchanged since a
-visit that found no unit has none still, so these are the pivots that
-sweeping every column until a sweep finds none would give, in the same
-order.  Each differential keeps one pivot log: its row halves lift
-generators of H_k back to honest bar cycles, its column halves push
-cycles of H_{k-1} into the reduced basis.
+unit entries (Gaussian reduction of based complexes): plain sweeps over
+the columns, each cancelling a column's unit in its shortest row,
+repeated until a sweep finds none.  Each differential keeps one pivot
+log: its row halves lift generators of H_k back to honest bar cycles,
+its column halves push cycles of H_{k-1} into the reduced basis.
 H_{k-1} is presented as soon as d_k is reduced.  The complex is built on
 the normalized subquotient (tuples with no identity entries), which has
 the same homology on a basis of (|G|-1)^k elements instead of |G|^k.
@@ -213,26 +209,18 @@ def _cancel_units(cols, rows):
     """Cancel unit entries until none is left, yielding (row, column,
     unit, rest of its row, rest of its column) after each one.
 
-    Sweeps run over the columns in their dict order.  Where a visited
-    column has a unit, the one whose row r is shortest is cancelled,
-    which keeps the Schur fill small: each other column c2 on row r
-    loses its entry v2 there and gains -v2 u times the rest of the pivot
-    column (u is +-1, so v2 // u = v2 u).  An update can create a unit in
-    a column the sweep has passed, so sweeps repeat, each visiting only
-    the columns updated since their last visit.  The pivots are those of
-    sweeps over every column, repeated until one finds no unit: a column
-    that found no unit at its last visit and has not changed since has
-    none now, so such a sweep would pass it as well.
+    Each sweep visits every column once, in dict order, and where the
+    column has a unit, cancels the one whose row r is shortest, which
+    keeps the Schur fill small: each other column c2 on row r loses its
+    entry v2 there and gains -v2 u times the rest of the pivot column (u
+    is +-1, so v2 // u = v2 u).  A Schur update can create units in
+    columns the sweep has passed, so sweeps repeat until one finds no
+    unit.
     """
-    # The columns updated since their last visit: all of them at first.
-    # A pivot column with no other entry only drops row r from each c2,
-    # which creates no unit, so it touches none.
-    touched = set(cols)
-    while touched:
+    found = True
+    while found:
+        found = False
         for c in list(cols):
-            if c not in touched:
-                continue
-            touched.discard(c)
             col = cols[c]
             r = None
             for rk, v in col.items():
@@ -240,6 +228,7 @@ def _cancel_units(cols, rows):
                     r, shortest = rk, len(rows[rk])
             if r is None:
                 continue
+            found = True
             u = col.pop(r)
             rowvals = {}
             if len(col) == 1:
@@ -275,8 +264,6 @@ def _cancel_units(cols, rows):
                             else:
                                 del col2[rk]
                                 rows[rk].discard(c2)
-            if col:
-                touched.update(rowvals)
             for rk in col:
                 rows[rk].discard(c)
             del cols[c]
@@ -474,7 +461,6 @@ def _complex(group: GroupSpec, top: int, cap: int) -> _Complex:
     """The group's complex through degree ``top``.  Bar degrees grow
     with k as |G|^k, so checking the cap at ``top`` alone, before any
     work, covers every degree below it."""
-    cap = _as_cap(cap)
     size = group.group_order ** top
     if size > cap:
         raise CapExceededError(f"bar degree {top} needs {size} basis elements, cap is {cap}")

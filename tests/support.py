@@ -377,9 +377,10 @@ def identity(n: int) -> list[list[int]]:
 
 def reference_cancel_units(cols, rows):
     """The unit-cancelling loop as it was before the bar reduction fused
-    its Schur update and re-swept only touched columns: full sweeps over
-    every column, repeated until one finds no unit.  ``bar._cancel_units``
-    must yield the same log and leave the same columns."""
+    its Schur update: full sweeps over every column, repeated until one
+    finds no unit, with a separate pass for each of the row, the column
+    and the update.  ``bar._cancel_units`` must yield the same log and
+    leave the same columns."""
     found = True
     while found:
         found = False

@@ -250,15 +250,13 @@ def test_bar_entry_points_refuse_a_cap_that_is_not_an_int():
     for cap in ("9", 9.0, None, 1.5):
         for refused in (lambda: bar_homology(G("Z_3"), 1, cap),
                         lambda: chi_profile("bar", G("Z_2"), 1, cap),
-                        lambda: chi_profile("small", G("Z_2"), 1, cap),
-                        lambda: bar._complex(G("Z_2"), 2, cap)):
+                        lambda: chi_profile("small", G("Z_2"), 1, cap)):
             with pytest.raises(TypeError, match="bar cap must be an integer"):
                 refused()
         # No complex was even looked up, so none was made or extended.
         assert bar._reduced.cache_info() == before
     with pytest.raises(CapExceededError, match="cap is 1$"):
         bar_homology(G("Z_2"), 0, True)
-    bar._complex(G("Z_2"), 0, True)  # |G|^0 = 1 fits a cap of True, read as 1
     assert bar_homology(G("Z_3"), 2, cap=27) == homology_type(G("Z_3"), 2)
 
 
@@ -392,9 +390,9 @@ def _random_matrix(rng):
 
 
 def test_unit_cancellation_matches_full_sweeps():
-    # _cancel_units re-sweeps only the columns a Schur update touched; it
-    # must give the log and the survivors of sweeping every column again
-    # (reference_cancel_units), pivot for pivot, dict order included.
+    # _cancel_units fuses the Schur update into one walk of the pivot row;
+    # it must give the log and the survivors of reference_cancel_units,
+    # pivot for pivot, dict order included.
     later = 0
     for group in ORACLE_GROUPS:
         g = G(group)
