@@ -366,7 +366,11 @@ class _Complex:
                 col = {f: v for f, v in col.items() if v}
             cols[j] = col
             for f in col:
-                rows.setdefault(f, set()).add(j)
+                row = rows.get(f)
+                if row is None:
+                    rows[f] = {j}
+                else:
+                    row.add(j)
         return cols, rows
 
     def _extend(self):

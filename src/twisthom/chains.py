@@ -20,8 +20,9 @@ again, so each monomial's data is computed once per (group, degree) and
 kept in a table of that pair, owned by the module that reads it: its
 faces under the differential with their signed coefficients in
 :func:`_faces_table` (read by :func:`boundary`), the integer j
-multiplies it by in ``pontryagin._multiplier_table`` (read by
-``inversion_chain``), and its block key and the subset of its block's
+multiplies it by in ``pontryagin._multiplier_table`` (read through
+``pontryagin._multipliers`` by ``inversion_chain`` and the vanishing
+pass), and its block key and the subset of its block's
 slots it raises in the presentation's ``_positions`` (read by
 ``reduce``, ``class_order`` and ``is_boundary``).  All three follow one
 rule: on a miss, the monomial is validated against the group and the

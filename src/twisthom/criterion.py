@@ -100,7 +100,14 @@ cycles and j is a chain map.  So the block rule of
 decides it there from the gcd g of the block's coefficients alone: the
 product has order g / gcd(g, content) and bounds iff that is 1, and a
 witness's chi has the order of its failing product.  The decision never
-presents H_2n.
+presents H_2n, and it builds no ``Chain`` per product: each generating
+cycle is turned once into the term records of :mod:`~twisthom.pontryagin`
+(monomial, coefficient, slot masks and j's multiplier), and a product is
+the kernel's dict of coefficients.  A cross pair's symmetrized product
+z_i ^ j(z_j) + (-1)^n j(z_i ^ j(z_j)) weights each pair of terms (a, b)
+by 1 + (-1)^n mu(a) mu(b), since j multiplies the product of two
+monomials by mu(a) mu(b) whenever that product is nonzero; so no
+multiplier of degree 2n is looked up.
 
 ``theorem_cover`` is the purely syntactic companion: it recognizes the
 group shapes and degree ranges for which vanishing is guaranteed without
@@ -124,7 +131,7 @@ from .homology import (
     homology,
     reduce_cycle,
 )
-from .pontryagin import inversion_chain, wedge
+from .pontryagin import _multipliers, _product_terms, _term_records, inversion_chain, wedge
 
 VANISHES = "Vanishes"
 NONZERO_WITNESS = "NonzeroWitness"
@@ -215,7 +222,10 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     orbit-mate of one tested.  The product is a cycle of its target block,
     since products of cycles are cycles and j is a chain map, so the block
     rule there decides whether it bounds and gives a witness's chi order;
-    no presentation of H_2n is built.
+    no presentation of H_2n is built.  Products are formed by the product
+    kernel of :mod:`~twisthom.pontryagin` on each generator's term records,
+    cached per call, with no ``Chain`` built per product; only a witness
+    and its chi are chains.
 
     The generating cycles are grouped by block key, in generator order,
     and each unordered block pair {A, B} is one task: the diagonals and
@@ -233,25 +243,29 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
     """
     n = as_degree(n)
     h = homology(group, n)
-    jgens: dict = {}
+    records: dict = {}
     block_gcds: dict = {}
     sign = -1 if n % 2 else 1
+
+    def term_records(i: int) -> tuple[list, list]:
+        """The term records of z_i and of j(z_i), built on the first call."""
+        entry = records.get(i)
+        if entry is None:
+            terms = h._cycles[i].terms
+            rec = [(m, c, o, hi, p, mu) for (m, c, o, hi, p, _), mu
+                   in zip(_term_records(terms), _multipliers(group, n, terms))]
+            entry = records[i] = (rec, [(m, c * mu, o, hi, p, mu) for m, c, o, hi, p, mu in rec])
+        return entry
 
     def pair_order(i: int, j: int, key) -> int:
         """The order of z_i ^ j(z_j), symmetrized when i != j, by the block
         rule of its target block ``key``; the cycles are the
         presentation's own, built on the first call."""
-        gens = h._cycles
-        jz = jgens.get(j)
-        if jz is None:
-            jz = jgens[j] = inversion_chain(gens[j])
-        value = wedge(gens[i], jz)
-        if i != j and not value.is_zero:
-            value = value + sign * inversion_chain(value)
+        value = _product_terms(term_records(i)[0], term_records(j)[1], 0 if i == j else sign)
         g = block_gcds.get(key)
         if g is None:
             g = block_gcds[key] = gcd(*block_pairing(group, key)[1])
-        return block_order(g, value.terms)
+        return block_order(g, {m: c for m, c in value.items() if c})
 
     counts = _orbit_pass(group, n, h._layout, pair_order)
     if counts is None:

@@ -10,21 +10,22 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from math import comb
 
 from hypothesis import strategies as st
 
 from twisthom import (
     Chain,
     CyclicFactor,
+    GroupMismatchError,
     GroupSpec,
     boundary,
     parse_group_spec,
     zero_chain,
 )
 from twisthom.chains import _atomic_boundary, basis, block_key, product_block_key
-from twisthom.criterion import chi_chain
 from twisthom.homology import class_order, generating_cycles, is_boundary
-from twisthom.pontryagin import _atomic_inversion, inversion_chain, wedge
+from twisthom.pontryagin import _atomic_inversion, inversion_chain
 
 
 def G(text: str) -> GroupSpec:
@@ -180,29 +181,80 @@ def grid_groups() -> list[GroupSpec]:
     return list(seen)
 
 
+def reference_atomic_wedge(order: int, a: int, b: int) -> int:
+    """Coefficient of [a+b] in [a]^[b] on one factor (0 when the product dies)."""
+    if order == 0:
+        return 1 if a + b <= 1 else 0
+    if a & 1 and b & 1:
+        return 0
+    return comb((a >> 1) + (b >> 1), b >> 1)
+
+
+def reference_wedge(x: Chain, y: Chain) -> Chain:
+    """The wedge product as a slot-by-slot loop over every pair of terms:
+    each slot's factor from ``reference_atomic_wedge``, the Koszul sign
+    from the suffix degree sums of the left monomial.  ``wedge`` must give
+    the same terms in the same order."""
+    if x.group != y.group:
+        raise GroupMismatchError("wedge operands over different groups")
+    group = x.group
+    orders = group.orders
+    l = len(orders)
+    out: dict = {}
+    for ma, ca in x.terms.items():
+        # Suffix degree sums of the left monomial, for the Koszul sign.
+        suffix = [0] * (l + 1)
+        for k in range(l - 1, -1, -1):
+            suffix[k] = suffix[k + 1] + ma[k]
+        for mb, cb in y.terms.items():
+            coef = ca * cb
+            parity = 0
+            mon = []
+            for k in range(l):
+                a, b = ma[k], mb[k]
+                if b:
+                    parity ^= (b & 1) & (suffix[k + 1] & 1)
+                if a or b:
+                    w = reference_atomic_wedge(orders[k], a, b)
+                    if w == 0:
+                        coef = 0
+                        break
+                    coef *= w
+                    mon.append(a + b)
+                else:
+                    mon.append(0)
+            if coef:
+                if parity:
+                    coef = -coef
+                key = tuple(mon)
+                out[key] = out.get(key, 0) + coef
+    return Chain(group, x.degree + y.degree, out)
+
+
 def reference_vanishing(group: GroupSpec, n: int):
-    """The vanishing decision as a plain pairwise loop over the public
-    ``wedge`` and ``is_boundary``, with no skip rule and no block
-    targeting: ``(kind, witness, chi_order)``, the witness None when chi
-    vanishes.  Diagonals first, then pairs i < j, each cross term
-    symmetrized as z_i ^ j(z_j) + (-1)^n j(z_i ^ j(z_j)).
+    """The vanishing decision as a plain pairwise loop, with no skip rule
+    and no block targeting: ``(kind, witness, chi_order)``, the witness
+    None when chi vanishes.  Diagonals first, then pairs i < j, each cross
+    term symmetrized as z_i ^ j(z_j) + (-1)^n j(z_i ^ j(z_j)).  Products
+    are formed with ``reference_wedge``, not the engine's product kernel,
+    and decided by the public ``is_boundary``.
     """
     gens = generating_cycles(group, n)
     jgens = [inversion_chain(z) for z in gens]
     for z, jz in zip(gens, jgens):
-        value = wedge(z, jz)
+        value = reference_wedge(z, jz)
         if not value.is_zero and not is_boundary(value):
             return "NonzeroWitness", z, class_order(value)
     sign = -1 if n % 2 else 1
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            cross = wedge(gens[i], jgens[j])
+            cross = reference_wedge(gens[i], jgens[j])
             if cross.is_zero:
                 continue
             symm = cross + sign * inversion_chain(cross)
             if not symm.is_zero and not is_boundary(symm):
                 w = gens[i] + gens[j]
-                return "NonzeroWitness", w, class_order(chi_chain(w))
+                return "NonzeroWitness", w, class_order(reference_wedge(w, inversion_chain(w)))
     return "Vanishes", None, None
 
 

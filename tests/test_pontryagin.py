@@ -5,7 +5,17 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from support import G, PROPERTY_GROUPS, group_degree_chain, random_chain, random_cycle
+from support import (
+    G,
+    PROPERTY_GROUPS,
+    group_degree_chain,
+    mixed_slot_family,
+    random_chain,
+    random_cycle,
+    reference_atomic_wedge,
+    reference_wedge,
+    twisted_cells,
+)
 from twisthom import (
     GroupMismatchError,
     boundary,
@@ -18,6 +28,7 @@ from twisthom import (
 )
 from twisthom.chains import basis
 from twisthom.homology import is_boundary
+from twisthom.pontryagin import _multipliers
 
 
 def test_atomic_wedge_one_finite_factor():
@@ -214,3 +225,46 @@ def test_wedge_bilinearity():
         assert wedge(a + b, c) == wedge(a, c) + wedge(b, c)
         assert wedge(c, a + b) == wedge(c, a) + wedge(c, b)
         assert wedge(3 * a, c) == 3 * wedge(a, c)
+
+
+def _product_groups():
+    """PROPERTY_GROUPS, then the groups of the twisted and mixed-slot cells."""
+    groups = dict.fromkeys(map(G, PROPERTY_GROUPS))
+    for g, _ in twisted_cells() + mixed_slot_family():
+        groups.setdefault(g, None)
+    return list(groups)
+
+
+def test_wedge_matches_the_reference_product():
+    """The mask kernel gives the slot loop's terms in the slot loop's
+    order, cancelled terms included: z ^ z for an odd z = x + w holds the
+    cross terms x ^ w and w ^ x, which cancel."""
+    rng = random.Random(909)
+    cancelled = 0
+    for g in _product_groups():
+        for _ in range(4):
+            p, q = rng.randrange(5), rng.randrange(5)
+            x, y, w = (random_chain(rng, g, d, max_terms=4) for d in (p, q, p))
+            z = x + w
+            for a, b in ((x, y), (y, x), (z, z)):
+                assert list(wedge(a, b).terms.items()) == list(reference_wedge(a, b).terms.items())
+            cancelled += p % 2 == 1 and not reference_wedge(x, w).is_zero
+    assert cancelled > 100
+
+
+def test_inversion_multiplier_is_multiplicative_on_nonzero_products():
+    """mu(a + b) = mu(a) mu(b) for every pair of basis monomials of degree
+    at most 3 whose product is nonzero, the identity the vanishing pass
+    weights its symmetrized pairs by."""
+    checked = 0
+    for g in _product_groups():
+        mons = {}
+        for d in range(4):
+            mons.update(zip(basis(g, d), _multipliers(g, d, basis(g, d))))
+        for a, mu_a in mons.items():
+            for b, mu_b in mons.items():
+                if all(map(reference_atomic_wedge, g.orders, a, b)):
+                    ab = tuple(i + k for i, k in zip(a, b))
+                    assert _multipliers(g, sum(ab), [ab]) == [mu_a * mu_b]
+                    checked += 1
+    assert checked > 100_000
