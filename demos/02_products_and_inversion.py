@@ -40,7 +40,7 @@ print(f"  dc ^ d + (-1)^|c| c ^ dd = {format_chain(rhs)}")
 
 mixed = parse_group_spec("Z^3 x Z_3")
 x = parse_chain(mixed, "[1 1 1 0] + [0 0 0 3]")
-print("\nInversion negates infinite untwisted slots and acts by (q-1)^k on finite ones:")
+print("\nInversion multiplies [i] by (-1)^ceil(i/2) on untwisted slots and fixes twisted ones:")
 print(f"  c    = {format_chain(x)}")
 print(f"  j(c) = {format_chain(inversion_chain(x))}")
 

@@ -19,10 +19,9 @@ Per-monomial tables.  The law checks meet the same monomials again and
 again, so each monomial's data is computed once per (group, degree) and
 kept in a table of that pair, owned by the module that reads it: its
 faces under the differential with their signed coefficients in
-:func:`_faces_table` (read by :func:`boundary`), the integer j
-multiplies it by in ``pontryagin._multiplier_table`` (read through
-``pontryagin._multipliers`` by ``inversion_chain`` and the vanishing
-pass), and its block key and the subset of its block's
+:func:`_faces_table` (read by :func:`boundary`), the sign j
+multiplies it by in ``pontryagin._multiplier_table`` (read by
+``inversion_chain``), and its block key and the subset of its block's
 slots it raises in the presentation's ``_positions`` (read by
 ``reduce``, ``class_order`` and ``is_boundary``).  All three follow one
 rule: on a miss, the monomial is validated against the group and the
@@ -30,7 +29,7 @@ chain's degree
 (:func:`_validate_monomial`) before its entry is computed and stored, so
 a monomial outside the basis is refused with ``InvalidMonomialError`` or
 ``DegreeMismatchError`` whatever the table holds.  The faces and
-multiplier tables are each an ``lru_cache`` of 32 (group, degree) pairs;
+sign tables are each an ``lru_cache`` of 32 (group, degree) pairs;
 the positions live as long as their cached presentation.  No answer
 depends on their state: an entry is stored only after the same
 computation and validation a cold call makes, and is a function of the

@@ -6,8 +6,8 @@ These are the fixed points the engine is checked against end to end; the
 `verify-paper` CLI command and the acceptance suite both run this table.
 
 Expected classes are compared at homology level, after reduction, since
-equivalent chains can differ by a boundary (a chain-level 5*[1113] is
-the class 2*[1113] when 3*[1113] bounds).
+equivalent chains can differ by a boundary (a chain-level -2*[1135] is
+the class [1135] when 3*[1135] bounds).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ GOLDEN: tuple[GoldenExample, ...] = (
     GoldenExample(
         "ex:cond_d_1_even", "Z x Z_3 x Z_3 x Z_3", 4,
         "[1 0 0 3]+[0 1 2 1]+[0 1 1 2]", "[1 1 1 5]", 3,
-        # Expanding c ^ j(c) termwise gives 8*[1 1 1 5], which reduces to
+        # Expanding c ^ j(c) termwise gives -4*[1 1 1 5], which reduces to
         # twice the recorded class: the two differ by a unit mod 3.  What
         # the entry pins down, nonvanishing with order 3, is unit-blind,
         # so this comparison allows the sign.

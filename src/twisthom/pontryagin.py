@@ -27,24 +27,26 @@ of odd slots before them (the prefix mask).  For a pair of terms a and b:
   slot has degree at most 1 and never gets there;
 * its monomial is the slotwise sum a + b.
 
-Inversion multiplies each slot independently: the degree-i generator of a
-factor picks up (-1)^i when the factor is infinite untwisted, the factor
-order q gives (q-1)^ceil(i/2) when finite untwisted, and twisted factors
-of either kind are fixed.  These are the maps induced by g -> -g on the
-small resolutions, so the result is a chain map of degree zero.  Each
-monomial's multiplier is computed once per (group, degree), after the
-monomial is validated, and kept in that pair's table,
-:func:`_multiplier_table`, one of the per-monomial tables described in
-:mod:`twisthom.chains`.
+Inversion fixes every monomial up to its sign mu: j multiplies the
+monomial m by mu(m) = (-1)^(sum of ceil(m_k/2) over the untwisted slots
+k), and twisted factors of either kind are fixed.  Slot by slot this is
+the lift of g -> -g itself to the small resolution, a chain map of
+degree zero; on an untwisted Z slot m_k <= 1, so ceil(m_k/2) = m_k, and
+one rule covers Z and Z_q.  So j o j is the identity on chains.  Any
+other chain lift of g -> -g, such as that of the power map g -> g^(q-1),
+which multiplies [i] of Z_q by (q-1)^ceil(i/2), is chain homotopic to
+this one, so it gives the same classes and verdicts.
+:func:`inversion_chain` keeps each monomial's sign, once the monomial is
+validated, in the table of its (group, degree), :func:`_multiplier_table`,
+one of the per-monomial tables described in :mod:`twisthom.chains`.
 
-The multiplier mu is multiplicative on every product that survives:
+The sign mu is multiplicative on every product that survives:
 mu(a + b) = mu(a) mu(b) whenever a ^ b != 0.  Slot by slot, ceil((i+k)/2)
 differs from ceil(i/2) + ceil(k/2) only when i and k are both odd, and
-there the product dies; on an infinite slot (-1)^(i+k) = (-1)^i (-1)^k.
-So j of a product is read off its factors' multipliers, and the
-symmetrized product x ^ y + s j(x ^ y) weights the pair (a, b) by
-1 + s mu(a) mu(b) (the ``sign`` of :func:`_product_terms`), with no
-multiplier of the product's degree looked up.
+there the product dies.  So j of a product is read off its factors'
+signs, and the symmetrized product x ^ y + s j(x ^ y) weights the pair
+(a, b) by 1 + s mu(a) mu(b), which is 0 or 2 (the ``sign`` of
+:func:`_product_terms`), with no sign of the product's degree looked up.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ from .chains import Chain, GroupMismatchError, _validate_monomial
 
 def _term_records(terms: dict) -> list[tuple]:
     """One record per term of ``terms``, in its order: (monomial,
-    coefficient, odd mask, high mask, prefix mask, multiplier), the masks
-    as in the module docstring and the multiplier 1; the vanishing pass
-    puts j's multiplier there."""
+    coefficient, odd mask, high mask, prefix mask, sign), the masks as in
+    the module docstring and the sign 1; the vanishing pass puts j's sign
+    mu there."""
     out = []
     for mon, coef in terms.items():
         odd = high = prefix = 0
@@ -81,7 +83,7 @@ def _product_terms(xs: list, ys: list, sign: int = 0) -> dict:
     """The product of the records ``xs`` and ``ys`` as monomial ->
     coefficient, in pair order, cancelled coefficients left in.  With a
     nonzero ``sign`` each pair (a, b) is weighted by 1 + sign mu(a) mu(b),
-    its multipliers' share of x ^ y + sign j(x ^ y)."""
+    its signs' share of x ^ y + sign j(x ^ y)."""
     out: dict = {}
     for ma, ca, odd_a, high_a, pre_a, mu_a in xs:
         for mb, cb, odd_b, high_b, pre_b, mu_b in ys:
@@ -113,64 +115,36 @@ def wedge(x: Chain, y: Chain) -> Chain:
     return Chain(x.group, x.degree + y.degree, out)
 
 
-def _atomic_inversion(order: int, sign: int, i: int) -> int:
-    if sign == -1:
-        return 1
-    if order == 0:
-        return -1 if i & 1 else 1
-    return (order - 1) ** ((i + 1) >> 1)
-
-
-def _inversion_multiplier(group, mon) -> int:
-    """The integer j multiplies ``mon`` by, the product of its slots' factors."""
-    orders, signs = group.orders, group.signs
-    mult = 1
-    for k, i in enumerate(mon):
-        if i:
-            mult *= _atomic_inversion(orders[k], signs[k], i)
-    return mult
+def _inversion_sign(group, mon) -> int:
+    """The sign mu(mon) that j multiplies ``mon`` by: (-1) to the sum of
+    ceil(i/2) over its untwisted slots."""
+    parity = 0
+    for sign, i in zip(group.signs, mon):
+        if sign == 1:
+            parity += (i + 1) >> 1
+    return -1 if parity & 1 else 1
 
 
 @lru_cache(maxsize=32)
 def _multiplier_table(group, degree: int) -> dict:
-    """Monomial -> its multiplier, for the monomials of (group, degree)
-    that :func:`inversion_chain` or :func:`_multipliers` has met; made
-    empty the first time."""
+    """Monomial -> its sign, for the monomials of (group, degree) that
+    :func:`inversion_chain` has met; made empty the first time."""
     return {}
-
-
-def _stored_multiplier(table: dict, group, mon, degree: int) -> int:
-    """The multiplier of a monomial that ``table``, the table of (group,
-    degree), lacks: the monomial is validated, then its entry stored."""
-    _validate_monomial(group, mon, degree)
-    mult = table[mon] = _inversion_multiplier(group, mon)
-    return mult
-
-
-def _multipliers(group, degree: int, mons) -> list[int]:
-    """The multiplier of j on each monomial of ``mons``, of one degree."""
-    table = _multiplier_table(group, degree)
-    out = []
-    for mon in mons:
-        mult = table.get(mon)
-        if mult is None:
-            mult = _stored_multiplier(table, group, mon, degree)
-        out.append(mult)
-    return out
 
 
 def inversion_chain(chain: Chain) -> Chain:
     """The chain map induced by inverting every group element.
 
-    Monomials are fixed up to an integer multiple, so no Koszul signs
-    arise; on homology the induced map squares to the identity.
+    Monomials are fixed up to sign, so no Koszul signs arise, and j o j
+    is the identity already on chains.
     """
     group = chain.group
-    mults = _multiplier_table(group, chain.degree)
+    signs = _multiplier_table(group, chain.degree)
     out: dict = {}
     for mon, coef in chain.terms.items():
-        mult = mults.get(mon)
-        if mult is None:
-            mult = _stored_multiplier(mults, group, mon, chain.degree)
-        out[mon] = coef * mult
+        mu = signs.get(mon)
+        if mu is None:
+            _validate_monomial(group, mon, chain.degree)
+            mu = signs[mon] = _inversion_sign(group, mon)
+        out[mon] = coef * mu
     return Chain(group, chain.degree, out)

@@ -25,7 +25,7 @@ from twisthom import (
 )
 from twisthom.chains import _atomic_boundary, basis, block_key, product_block_key
 from twisthom.homology import class_order, generating_cycles, is_boundary
-from twisthom.pontryagin import _atomic_inversion, inversion_chain
+from twisthom.pontryagin import inversion_chain
 
 
 def G(text: str) -> GroupSpec:
@@ -332,12 +332,36 @@ def reference_faces(group: GroupSpec, mon) -> tuple:
 
 
 def reference_inversion(group: GroupSpec, mon) -> int:
-    """The multiplier of j on one monomial, the product over its slots of
-    ``_atomic_inversion``."""
+    """The sign of j on one monomial, the product over its slots of the
+    lift of g -> -g: (-1)^i on an untwisted Z, (-1)^ceil(i/2) on an
+    untwisted Z_q, and 1 on a twisted slot."""
     out = 1
     for order, sign, i in zip(group.orders, group.signs, mon):
-        out *= _atomic_inversion(order, sign, i)
+        if sign == 1:
+            out *= (-1) ** (i if order == 0 else (i + 1) // 2)
     return out
+
+
+def _atomic_power_inversion(order: int, sign: int, i: int) -> int:
+    if sign == -1:
+        return 1
+    if order == 0:
+        return -1 if i & 1 else 1
+    return (order - 1) ** ((i + 1) >> 1)
+
+
+def reference_power_inversion(chain: Chain) -> Chain:
+    """The lift of the power map g -> g^(q-1) on each finite untwisted
+    slot: it multiplies [i] of Z_q by (q-1)^ceil(i/2), [1] of an
+    untwisted Z by -1, and fixes twisted slots.  It lifts the same group
+    map as ``inversion_chain``, so the two are chain homotopic."""
+    group = chain.group
+    out = {}
+    for mon, coef in chain.terms.items():
+        for order, sign, i in zip(group.orders, group.signs, mon):
+            coef *= _atomic_power_inversion(order, sign, i)
+        out[mon] = coef
+    return Chain(group, chain.degree, out)
 
 
 def random_chain(

@@ -253,7 +253,7 @@ def test_7_coverage_implies_vanishing(capsys, grid_sweep):
 
 # sha256 of the records below over the covered grid, then the sharpness
 # cells; any change to a verdict, witness, chi value or count moves it.
-SWEEP_DIGEST = "522a26c7cd125948bfff8476060b450d628fb0a15d94e6639f7236915992fbc0"
+SWEEP_DIGEST = "7e7015b9788965c9021bde9e54c5b074f801351f23f3bf35b601baaf01e4d432"
 
 
 def _verdict_record(v) -> str:

@@ -13,6 +13,7 @@ from support import (
     random_chain,
     random_cycle,
     reference_atomic_wedge,
+    reference_power_inversion,
     reference_wedge,
     twisted_cells,
 )
@@ -27,8 +28,9 @@ from twisthom import (
     zero_chain,
 )
 from twisthom.chains import basis
-from twisthom.homology import is_boundary
-from twisthom.pontryagin import _multipliers
+from twisthom.criterion import NONZERO_WITNESS, chi_chain, vanishes_for_all
+from twisthom.homology import generating_cycles, homology, is_boundary
+from twisthom.pontryagin import _inversion_sign
 
 
 def test_atomic_wedge_one_finite_factor():
@@ -86,7 +88,7 @@ def test_inversion_examples():
     g = G("Z^3 x Z_3")
     a = parse_chain(g, "[1 1 1 0]")
     b = parse_chain(g, "[0 0 0 3]")
-    assert inversion_chain(a + b) == -1 * a + 4 * b
+    assert inversion_chain(a + b) == -1 * a + b
     assert inversion_chain(monomial_chain(g, (0, 0, 0, 0))) == monomial_chain(
         g, (0, 0, 0, 0)
     )
@@ -105,9 +107,9 @@ def test_inversion_signs_untwisted():
     g = G("Z")
     assert inversion_chain(monomial_chain(g, (1,))) == -1 * monomial_chain(g, (1,))
     z9 = G("Z_9")
-    assert inversion_chain(monomial_chain(z9, (1,))) == 8 * monomial_chain(z9, (1,))
-    assert inversion_chain(monomial_chain(z9, (2,))) == 8 * monomial_chain(z9, (2,))
-    assert inversion_chain(monomial_chain(z9, (3,))) == 64 * monomial_chain(z9, (3,))
+    assert inversion_chain(monomial_chain(z9, (1,))) == -1 * monomial_chain(z9, (1,))
+    assert inversion_chain(monomial_chain(z9, (2,))) == -1 * monomial_chain(z9, (2,))
+    assert inversion_chain(monomial_chain(z9, (3,))) == monomial_chain(z9, (3,))
 
 
 def test_inversion_of_zero():
@@ -258,13 +260,53 @@ def test_inversion_multiplier_is_multiplicative_on_nonzero_products():
     weights its symmetrized pairs by."""
     checked = 0
     for g in _product_groups():
-        mons = {}
-        for d in range(4):
-            mons.update(zip(basis(g, d), _multipliers(g, d, basis(g, d))))
+        mons = {m: _inversion_sign(g, m) for d in range(4) for m in basis(g, d)}
         for a, mu_a in mons.items():
             for b, mu_b in mons.items():
                 if all(map(reference_atomic_wedge, g.orders, a, b)):
                     ab = tuple(i + k for i, k in zip(a, b))
-                    assert _multipliers(g, sum(ab), [ab]) == [mu_a * mu_b]
+                    assert _inversion_sign(g, ab) == mu_a * mu_b
                     checked += 1
     assert checked > 100_000
+
+
+def test_j_is_an_involution_on_chains():
+    # The sign lift squares to the identity on chains, not only on
+    # homology: the power lift gave j(j([1])) = 4*[1] over Z_3.
+    rng = random.Random(1010)
+    checked = 0
+    for g in _product_groups():
+        for n in range(6):
+            for c in [random_chain(rng, g, n, max_terms=4), *generating_cycles(g, n)]:
+                assert inversion_chain(inversion_chain(c)) == c
+                checked += not c.is_zero
+    assert checked > 16_000
+
+
+def test_j_agrees_with_the_power_lift_on_homology():
+    # Both lifts cover g -> -g, so they are chain homotopic and send each
+    # generating cycle to one class.
+    checked = moved = 0
+    for g in _product_groups():
+        for n in range(6):
+            h = homology(g, n)
+            for z in generating_cycles(g, n):
+                jz = h.reduce(inversion_chain(z))
+                assert jz == h.reduce(reference_power_inversion(z))
+                checked += 1
+                moved += jz != h.reduce(z)
+    assert checked > 14_000 and moved > 4_000
+
+
+def test_j_gives_each_witness_the_chi_class_of_the_power_lift():
+    # PROPERTY_GROUPS in degrees 2..5, then the twisted and mixed-slot cells.
+    cells = [(G(text), n) for text in PROPERTY_GROUPS for n in range(2, 6)]
+    witnesses = 0
+    for g, n in dict.fromkeys(cells + twisted_cells() + mixed_slot_family()):
+        v = vanishes_for_all(g, n)
+        if v.kind == NONZERO_WITNESS:
+            w = v.witness
+            assert v.chi_chain == chi_chain(w)
+            assert is_boundary(v.chi_chain - wedge(w, reference_power_inversion(w)))
+            witnesses += 1
+    assert witnesses > 500
