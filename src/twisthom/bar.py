@@ -1,4 +1,4 @@
-"""Brute-force twisted homology over the unnormalized bar complex.
+"""Brute-force twisted homology over the normalized bar complex.
 
 This is the oracle side of the engine: for a finite group it computes
 H_n, the shuffle product, and the inversion map directly on bar tuples.
@@ -96,7 +96,9 @@ class BarChain(_Combination):
 
     Each tuple has ``degree`` entries, each a group element: one int
     exponent e per factor, 0 <= e < order (a bool counts as its int).
-    Anything else raises ``ValueError``.
+    Anything else, or a coefficient that is not an int, raises
+    ``ValueError``; a degree that is not an int raises ``TypeError``
+    (:func:`~twisthom.chains.as_degree`).
     The arithmetic and the zero-free invariant come from the base
     :class:`~twisthom.chains._Combination`, shared with ``Chain``: the
     constructor checks the keys, then the base drops zero coefficients,
@@ -110,8 +112,11 @@ class BarChain(_Combination):
     def __post_init__(self):
         if not self.group.is_finite:
             raise InfiniteGroupError("bar computations need a finite group")
+        object.__setattr__(self, "degree", as_degree(self.degree))
         orders = self.group.orders
-        for key in self.terms:
+        for key, coef in self.terms.items():
+            if not isinstance(coef, int):
+                raise ValueError("bar coefficient is not an integer")
             if not isinstance(key, tuple) or len(key) != self.degree:
                 raise ValueError("bar key is not a tuple of the degree's length")
             if any(not isinstance(g, tuple) or len(g) != len(orders)

@@ -19,24 +19,25 @@ Per-monomial tables.  The law checks meet the same monomials again and
 again, so each monomial's data is computed once per (group, degree) and
 kept in a table of that pair, owned by the module that reads it: its
 faces under the differential with their signed coefficients in
-:func:`_faces_table` (read by :func:`boundary`), the sign j
-multiplies it by in ``pontryagin._multiplier_table`` (read by
-``inversion_chain``), and its block key and the subset of its block's
-slots it raises in the presentation's ``_positions`` (read by
+:func:`_faces_table` (read by :func:`boundary`), its record of slot
+masks and j's sign in ``pontryagin._record_table`` (read by ``wedge``
+and ``inversion_chain``), and its block key and the subset of its
+block's slots it raises in the presentation's ``_positions`` (read by
 ``reduce``, ``class_order`` and ``is_boundary``).  All three follow one
 rule: on a miss, the monomial is validated against the group and the
 chain's degree
 (:func:`_validate_monomial`) before its entry is computed and stored, so
 a monomial outside the basis is refused with ``InvalidMonomialError`` or
 ``DegreeMismatchError`` whatever the table holds.  The faces and
-sign tables are each an ``lru_cache`` of 32 (group, degree) pairs;
+record tables are each an ``lru_cache`` of 32 (group, degree) pairs;
 the positions live as long as their cached presentation.  No answer
 depends on their state: an entry is stored only after the same
 computation and validation a cold call makes, and is a function of the
 monomial's values alone, so a cold, a warm and an evicted table give
 equal answers.  Faces are stored only for monomials of plain ints, so an
 equal tuple of other types, such as ``(True, 2)``, never puts its
-entries into the faces of ``(1, 2)``.
+entries into the faces of ``(1, 2)``; a record holds no monomial, so it
+is stored for any valid one.
 
 Chain literals are written as ``k*[i1 i2 ... il]`` terms joined by ``+``
 or ``-``, one integer per factor, with ``k`` optional:

@@ -102,14 +102,17 @@ product has order g / gcd(g, content) and bounds iff that is 1, and a
 witness's chi has the order of its failing product.  The decision never
 presents H_2n, and it builds no ``Chain`` per product: each generating
 cycle is turned once into the term records of :mod:`~twisthom.pontryagin`
-(monomial, coefficient, slot masks and j's sign, read off the monomial
-by ``_inversion_sign``), and a product is the kernel's dict of
+(monomial, coefficient, and the monomial's slot masks and j's sign from
+``_record``, the function that fills the record table of ``wedge`` and
+``inversion_chain``), and a product is the kernel's dict of
 coefficients.  A cross pair's symmetrized product
 z_i ^ j(z_j) + (-1)^n j(z_i ^ j(z_j)) weights each pair of terms (a, b)
 by 1 + (-1)^n mu(a) mu(b), which is 0 or 2, since j multiplies the
 product of two monomials by mu(a) mu(b) whenever that product is
 nonzero; so no sign of degree 2n is looked up.  The cycles are the
-presentation's own, so their monomials need no validation.
+presentation's own, so their monomials need no validation, and the pass
+reads no record table: a sweep over many cells would keep evicting
+tables of 32 (group, degree) pairs.
 
 ``theorem_cover`` is the purely syntactic companion: it recognizes the
 group shapes and degree ranges for which vanishing is guaranteed without
@@ -133,7 +136,7 @@ from .homology import (
     homology,
     reduce_cycle,
 )
-from .pontryagin import _inversion_sign, _product_terms, _term_records, inversion_chain, wedge
+from .pontryagin import _product_terms, _record, inversion_chain, wedge
 
 VANISHES = "Vanishes"
 NONZERO_WITNESS = "NonzeroWitness"
@@ -253,8 +256,7 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
         """The term records of z_i and of j(z_i), built on the first call."""
         entry = records.get(i)
         if entry is None:
-            rec = [(m, c, o, hi, p, _inversion_sign(group, m))
-                   for m, c, o, hi, p, _ in _term_records(h._cycles[i].terms)]
+            rec = [(m, c) + _record(group, m) for m, c in h._cycles[i].terms.items()]
             entry = records[i] = (rec, [(m, c * mu, o, hi, p, mu) for m, c, o, hi, p, mu in rec])
         return entry
 

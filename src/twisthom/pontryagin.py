@@ -12,10 +12,12 @@ the Koszul rule (a (x) b) ^ (a' (x) b') = (-1)^{|a'||b|} (a^a') (x) (b^b'),
 folded from the left, which for monomials x ^ y gives the global sign
 (-1) to the power  sum over slots k < j of  deg_y(k) * deg_x(j).
 
-The product kernel reads each term once, as a record of its monomial,
-its coefficient and three slot masks (bit k for slot k): the slots of
-odd degree, the slots of degree >= 2, and the slots with an odd number
-of odd slots before them (the prefix mask).  For a pair of terms a and b:
+The product kernel reads each term once, as its monomial, its
+coefficient and the monomial's record: its odd, high and prefix slot
+masks and j's sign mu (below).  A mask has bit k for slot k: the odd mask
+holds the slots of odd degree, the high mask those of degree >= 2, and
+the prefix mask those with an odd number of odd slots before them.  For
+a pair of terms a and b:
 
 * the product is zero iff the odd masks meet: odd ^ odd dies on a finite
   slot, and on an infinite one the only odd degree is [1];
@@ -36,9 +38,16 @@ one rule covers Z and Z_q.  So j o j is the identity on chains.  Any
 other chain lift of g -> -g, such as that of the power map g -> g^(q-1),
 which multiplies [i] of Z_q by (q-1)^ceil(i/2), is chain homotopic to
 this one, so it gives the same classes and verdicts.
-:func:`inversion_chain` keeps each monomial's sign, once the monomial is
-validated, in the table of its (group, degree), :func:`_multiplier_table`,
-one of the per-monomial tables described in :mod:`twisthom.chains`.
+
+One function, :func:`_record`, computes a monomial's record, and one
+table per (group, degree), :func:`_record_table`, keeps it: an
+``lru_cache`` of 32 pairs, one of the per-monomial tables described in
+:mod:`twisthom.chains`.  :func:`wedge` (through :func:`_term_records`)
+and :func:`inversion_chain` read their terms' records from it, and a
+monomial the table has not met is validated before its record is stored
+(:class:`_RecordTable`).  The vanishing pass of :mod:`twisthom.criterion`
+calls :func:`_record` on its presentation's own cycles, with no table
+and no validation.
 
 The sign mu is multiplicative on every product that survives:
 mu(a + b) = mu(a) mu(b) whenever a ^ b != 0.  Slot by slot, ceil((i+k)/2)
@@ -58,25 +67,50 @@ from operator import add
 from .chains import Chain, GroupMismatchError, _validate_monomial
 
 
-def _term_records(terms: dict) -> list[tuple]:
-    """One record per term of ``terms``, in its order: (monomial,
-    coefficient, odd mask, high mask, prefix mask, sign), the masks as in
-    the module docstring and the sign 1; the vanishing pass puts j's sign
-    mu there."""
-    out = []
-    for mon, coef in terms.items():
-        odd = high = prefix = 0
-        bit = 1
-        for i in mon:
-            if i:
-                if i & 1:
-                    odd |= bit
-                    prefix ^= -bit << 1  # flips every slot after this one
-                if i > 1:
-                    high |= bit
-            bit <<= 1
-        out.append((mon, coef, odd, high, prefix & (bit - 1), 1))
-    return out
+def _record(group, mon) -> tuple:
+    """The record of one monomial: (odd mask, high mask, prefix mask, mu),
+    the masks as in the module docstring and mu the sign j multiplies it
+    by."""
+    odd = high = prefix = parity = 0
+    for k, (sign, i) in enumerate(zip(group.signs, mon)):
+        if i:
+            bit = 1 << k
+            if i & 1:
+                odd |= bit
+                prefix ^= -bit << 1  # flips every slot after this one
+            if i > 1:
+                high |= bit
+            if sign == 1:
+                parity += (i + 1) >> 1
+    return odd, high, prefix & ((1 << len(mon)) - 1), -1 if parity & 1 else 1
+
+
+class _RecordTable(dict):
+    """Monomial -> its record, for the monomials of one (group, degree)
+    that :func:`wedge` or :func:`inversion_chain` has met.  A monomial met
+    for the first time is validated before its record is stored."""
+
+    def __init__(self, group, degree: int):
+        self.group, self.degree = group, degree
+
+    def __missing__(self, mon) -> tuple:
+        _validate_monomial(self.group, mon, self.degree)
+        rec = self[mon] = _record(self.group, mon)
+        return rec
+
+
+@lru_cache(maxsize=32)
+def _record_table(group, degree: int) -> _RecordTable:
+    """The record table of (group, degree), made empty the first time."""
+    return _RecordTable(group, degree)
+
+
+def _term_records(chain: Chain) -> list[tuple]:
+    """One record per term of ``chain``, in its order: (monomial,
+    coefficient, odd mask, high mask, prefix mask, mu), read from the
+    record table of its (group, degree)."""
+    table = _record_table(chain.group, chain.degree)
+    return [(mon, coef) + table[mon] for mon, coef in chain.terms.items()]
 
 
 def _product_terms(xs: list, ys: list, sign: int = 0) -> dict:
@@ -111,25 +145,8 @@ def wedge(x: Chain, y: Chain) -> Chain:
     """Bilinear product; both chains must live over the same group."""
     if x.group != y.group:
         raise GroupMismatchError("wedge operands over different groups")
-    out = _product_terms(_term_records(x.terms), _term_records(y.terms))
+    out = _product_terms(_term_records(x), _term_records(y))
     return Chain(x.group, x.degree + y.degree, out)
-
-
-def _inversion_sign(group, mon) -> int:
-    """The sign mu(mon) that j multiplies ``mon`` by: (-1) to the sum of
-    ceil(i/2) over its untwisted slots."""
-    parity = 0
-    for sign, i in zip(group.signs, mon):
-        if sign == 1:
-            parity += (i + 1) >> 1
-    return -1 if parity & 1 else 1
-
-
-@lru_cache(maxsize=32)
-def _multiplier_table(group, degree: int) -> dict:
-    """Monomial -> its sign, for the monomials of (group, degree) that
-    :func:`inversion_chain` has met; made empty the first time."""
-    return {}
 
 
 def inversion_chain(chain: Chain) -> Chain:
@@ -138,13 +155,8 @@ def inversion_chain(chain: Chain) -> Chain:
     Monomials are fixed up to sign, so no Koszul signs arise, and j o j
     is the identity already on chains.
     """
-    group = chain.group
-    signs = _multiplier_table(group, chain.degree)
+    table = _record_table(chain.group, chain.degree)
     out: dict = {}
     for mon, coef in chain.terms.items():
-        mu = signs.get(mon)
-        if mu is None:
-            _validate_monomial(group, mon, chain.degree)
-            mu = signs[mon] = _inversion_sign(group, mon)
-        out[mon] = coef * mu
-    return Chain(group, chain.degree, out)
+        out[mon] = coef * table[mon][3]
+    return Chain(chain.group, chain.degree, out)

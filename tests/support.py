@@ -342,6 +342,21 @@ def reference_inversion(group: GroupSpec, mon) -> int:
     return out
 
 
+def reference_record(group: GroupSpec, mon) -> tuple:
+    """The record ``pontryagin`` keeps for one monomial, from the per-slot
+    definitions: (odd mask, high mask, prefix mask, sign), bit k of a mask
+    set when slot k has odd degree, has degree at least 2, or has an odd
+    number of odd-degree slots before it, and the sign of j from
+    ``reference_inversion``."""
+    def mask(flags) -> int:
+        return sum(1 << k for k, flag in enumerate(flags) if flag)
+
+    odd = [i % 2 == 1 for i in mon]
+    return (mask(odd), mask(i >= 2 for i in mon),
+            mask(sum(odd[:k]) % 2 == 1 for k in range(len(mon))),
+            reference_inversion(group, mon))
+
+
 def _atomic_power_inversion(order: int, sign: int, i: int) -> int:
     if sign == -1:
         return 1

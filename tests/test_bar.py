@@ -79,6 +79,21 @@ def test_bar_chain_refuses_exponents_that_are_not_ints():
     assert BarChain(G("Z_2"), 1, {((True,),): 1}) == BarChain(G("Z_2"), 1, {((1,),): 1})
 
 
+def test_bar_chain_refuses_coefficients_and_degrees_that_are_not_ints():
+    # Both used to be built, though a bar chain is an integer combination
+    # of tuples of its degree's length.
+    for coef in (0.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="coefficient is not an integer"):
+            BarChain(G("Z_2"), 1, {((1,),): coef})
+    for degree in (1.0, "1", None):
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            BarChain(G("Z_2"), degree, {((1,),): 1})
+    # A bool is read as its int, in a coefficient and in the degree.
+    b = BarChain(G("Z_2"), True, {((1,),): True})
+    assert type(b.degree) is int
+    assert b == BarChain(G("Z_2"), 1, {((1,),): 1})
+
+
 def test_bar_chain_scalars_must_be_ints():
     a = BarChain(G("Z_3"), 1, {((1,),): 1})
     with pytest.raises(TypeError):

@@ -1,15 +1,16 @@
 """The per-monomial tables: bounded, and never part of an answer.
 
-``boundary``, ``inversion_chain`` and the reduction entry points
-(``reduce``, ``class_order``, ``is_boundary``) read each monomial's faces,
-inversion multiplier and (block key, raised-slot subset) from a table per
-(group, degree), filled on first use after the monomial is validated:
-``chains._faces_table`` and ``pontryagin._multiplier_table``, each an
-``lru_cache`` of 32 pairs, and the ``_positions`` of the cached
-presentation.  These tests check that a cold, a warm and a constantly
-evicted store give the same answers, that each store keeps its bound,
-that stored entries equal a per-slot reference, and that stored valid
-monomials never let an invalid one through.
+``boundary``, ``wedge``, ``inversion_chain`` and the reduction entry
+points (``reduce``, ``class_order``, ``is_boundary``) read each
+monomial's faces, record (slot masks and j's sign) and (block key,
+raised-slot subset) from a table per (group, degree), filled on first use
+after the monomial is validated: ``chains._faces_table`` and
+``pontryagin._record_table``, each an ``lru_cache`` of 32 pairs, and the
+``_positions`` of the cached presentation.  These tests check that a
+cold, a warm and a constantly evicted store give the same answers, that
+each store keeps its bound, that stored entries equal a per-slot
+reference, and that stored valid monomials never let an invalid one
+through.
 """
 
 import importlib
@@ -26,7 +27,7 @@ from support import (
     random_chain,
     random_cycle,
     reference_faces,
-    reference_inversion,
+    reference_record,
     twisted_cells,
 )
 from twisthom import (
@@ -39,17 +40,18 @@ from twisthom import (
     is_cycle,
     monomial_chain,
     parse_chain,
+    wedge,
 )
 from twisthom import chains, pontryagin
 from twisthom.chains import _faces_table, block_key
 from twisthom.homology import class_order, homology, is_boundary, reduce_cycle
-from twisthom.pontryagin import _multiplier_table, inversion_chain
+from twisthom.pontryagin import _record_table, inversion_chain
 
 # The module: the package attribute ``twisthom.homology`` is the function.
 H = importlib.import_module("twisthom.homology")
 # Each per-monomial store, as (owning module, name): the faces, the
-# multipliers, and the presentations that hold the positions.
-STORES = ((chains, "_faces_table"), (pontryagin, "_multiplier_table"), (H, "homology"))
+# records, and the presentations that hold the positions.
+STORES = ((chains, "_faces_table"), (pontryagin, "_record_table"), (H, "homology"))
 
 
 def _resize(monkeypatch, maxsize):
@@ -86,11 +88,11 @@ def _answers(cases, before=lambda: None):
     runs ahead of each call."""
     out = []
     for chain, cycle in cases:
-        for call, arg in ((boundary, chain), (inversion_chain, chain), (is_boundary, chain),
-                          (boundary, cycle), (inversion_chain, cycle), (reduce_cycle, cycle),
-                          (class_order, cycle), (is_boundary, cycle)):
+        for call, *args in ((boundary, chain), (inversion_chain, chain), (is_boundary, chain),
+                            (wedge, chain, cycle), (boundary, cycle), (inversion_chain, cycle),
+                            (reduce_cycle, cycle), (class_order, cycle), (is_boundary, cycle)):
             before()
-            out.append(call(arg))
+            out.append(call(*args))
     return out
 
 
@@ -121,7 +123,7 @@ def test_cold_warm_and_evicted_tables_agree(monkeypatch):
 def test_table_store_is_bounded():
     # One table per (group, degree); the bound counts tables.
     clear_stores()
-    tables = (_faces_table, _multiplier_table)
+    tables = (_faces_table, _record_table)
     cells = [(G(f"Z_{q}"), n) for q in range(2, 12) for n in range(5)]
     assert all(t.cache_info().maxsize == 32 for t in tables)
     assert len(set(cells)) > 32
@@ -167,7 +169,8 @@ def test_invalid_monomials_are_refused_after_valid_ones_are_stored():
 def test_faces_and_multipliers_refuse_invalid_monomials():
     # Every table validates a monomial on a miss before it computes and
     # stores the entry.  inversion_chain used to give the float 0.5 for
-    # [-3] over Z_3, and boundary of the first chain over Z x Z_3 was 0.
+    # [-3] over Z_3, boundary of the chain over Z x Z_3 in degree 7 was 0,
+    # and its wedge square was {(5, 1): 4, (0, 0, 0): 4}.
     g = G("Z x Z_3")
     invalid = ((Chain(G("Z_3"), -3, {(-3,): 1}), InvalidMonomialError),
                (Chain(G("Z_7 x Z_3"), 0, {(-3, 3): 3}), InvalidMonomialError),
@@ -182,15 +185,15 @@ def test_faces_and_multipliers_refuse_invalid_monomials():
             for n in (2, 7):
                 z = Chain(g, n, dict.fromkeys(basis(g, n), 1))
                 boundary(z), inversion_chain(z)
-            assert len(_faces_table(g, 7)) == len(_multiplier_table(g, 7)) == len(basis(g, 7))
+            assert len(_faces_table(g, 7)) == len(_record_table(g, 7)) == len(basis(g, 7))
         for chain, error in invalid:
-            for call in (boundary, is_cycle, inversion_chain):
+            for call in (boundary, is_cycle, inversion_chain, lambda c: wedge(c, c)):
                 with pytest.raises(error):
                     call(chain)
         assert _faces_table.cache_info().currsize == len(touched) < 32
         for group, n in touched:
             assert set(_faces_table(group, n)) <= set(basis(group, n))
-            assert set(_multiplier_table(group, n)) <= set(basis(group, n))
+            assert set(_record_table(group, n)) <= set(basis(group, n))
 
 
 def test_monomials_with_entries_that_are_not_ints_are_refused():
@@ -203,7 +206,7 @@ def test_monomials_with_entries_that_are_not_ints_are_refused():
         with pytest.raises(InvalidMonomialError, match="not an integer"):
             monomial_chain(g, mon)
         chain = Chain(g, 1, {mon: 1})
-        for call in (boundary, inversion_chain, reduce_cycle, class_order):
+        for call in (boundary, inversion_chain, lambda c: wedge(c, c), reduce_cycle, class_order):
             with pytest.raises(InvalidMonomialError, match="not an integer"):
                 call(chain)
     assert monomial_chain(g, (True, 0)).degree == 1
@@ -218,6 +221,20 @@ def test_boundary_of_an_equal_monomial_of_other_types_leaves_no_trace():
     assert format_chain(boundary(parse_chain(g, "[1 2]"))) == "-3*[1 1]"
 
 
+def test_wedge_after_an_equal_monomial_of_other_types_gives_int_monomials():
+    # A record holds no monomial, so the record of (True, 2), stored first,
+    # serves (1, 2), and a product's monomial is the sum of its factors'.
+    g = G("Z x Z_3")
+    clear_stores()
+    y = monomial_chain(g, (0, 2))
+    first = wedge(monomial_chain(g, (True, 2)), y)
+    (stored,) = _record_table(g, 3)
+    assert type(stored[0]) is bool
+    second = wedge(parse_chain(g, "[1 2]"), y)
+    assert first == second == parse_chain(g, "2*[1 4]")
+    assert all(type(i) is int for c in (first, second) for mon in c.terms for i in mon)
+
+
 def test_stored_entries_match_the_per_slot_reference():
     clear_stores()
     groups = [G(text) for text in ("Z x Z~ x Z_3", "Z_2~ x Z_4 x Z_3", "Z_4~ x Z^2")]
@@ -230,12 +247,12 @@ def test_stored_entries_match_the_per_slot_reference():
     seen = 0
     for g in groups:
         for n in range(6):
-            faces, mults = _faces_table(g, n), _multiplier_table(g, n)
+            faces, records = _faces_table(g, n), _record_table(g, n)
             h = homology(g, n)
-            assert set(faces) == set(mults) == set(h._positions) == set(basis(g, n))
+            assert set(faces) == set(records) == set(h._positions) == set(basis(g, n))
             for mon in basis(g, n):
                 assert faces[mon] == reference_faces(g, mon)
-                assert mults[mon] == reference_inversion(g, mon)
+                assert records[mon] == reference_record(g, mon)
                 key, subset = h._positions[mon]
                 assert key == block_key(g, mon)
                 slots, kos = h._block(key)

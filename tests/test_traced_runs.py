@@ -27,7 +27,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # Stores that a workload fills, as the tracer's cache metrics name them.
-STORES = {"queries": ("cache.chains._faces_table", "cache.pontryagin._multiplier_table"),
+STORES = {"queries": ("cache.chains._faces_table", "cache.pontryagin._record_table"),
           "oracle": ("cache.bar._reduced",)}
 
 
