@@ -23,21 +23,20 @@ faces under the differential with their signed coefficients in
 masks and j's sign in ``pontryagin._record_table`` (read by ``wedge``
 and ``inversion_chain``), and its block key and the subset of its
 block's slots it raises in the presentation's ``_positions`` (read by
-``reduce``, ``class_order`` and ``is_boundary``).  All three follow one
-rule: on a miss, the monomial is validated against the group and the
-chain's degree
-(:func:`_validate_monomial`) before its entry is computed and stored, so
-a monomial outside the basis is refused with ``InvalidMonomialError`` or
-``DegreeMismatchError`` whatever the table holds.  The faces and
-record tables are each an ``lru_cache`` of 32 (group, degree) pairs;
-the positions live as long as their cached presentation.  No answer
-depends on their state: an entry is stored only after the same
-computation and validation a cold call makes, and is a function of the
-monomial's values alone, so a cold, a warm and an evicted table give
-equal answers.  Faces are stored only for monomials of plain ints, so an
-equal tuple of other types, such as ``(True, 2)``, never puts its
-entries into the faces of ``(1, 2)``; a record holds no monomial, so it
-is stored for any valid one.
+``reduce``, ``class_order`` and ``is_boundary``).  All three are one
+class, :class:`_MonomialTable`, with one rule on a miss: the monomial is
+validated against the group and the table's degree
+(:func:`_validate_monomial`), its entry is computed, and the entry is
+stored only when every entry of the monomial is a plain ``int``.  So a
+monomial outside the basis is refused with ``InvalidMonomialError`` or
+``DegreeMismatchError`` whatever the table holds, and an equal tuple of
+other types, such as ``(True, 2)``, gets the answer of ``(1, 2)`` and
+leaves no entry behind.  The faces and record tables are each an
+``lru_cache`` of 32 (group, degree) pairs; the positions live as long as
+their cached presentation.  No answer depends on their state: an entry
+is stored only after the same computation and validation a cold call
+makes, and is a function of the monomial's values alone, so a cold, a
+warm and an evicted table give equal answers.
 
 Chain literals are written as ``k*[i1 i2 ... il]`` terms joined by ``+``
 or ``-``, one integer per factor, with ``k`` optional:
@@ -180,11 +179,28 @@ def _validate_monomial(group: GroupSpec, mon: Monomial, degree: int | None = Non
         raise DegreeMismatchError(f"term of degree {sum(mon)} in a degree-{degree} chain")
 
 
+class _MonomialTable(dict):
+    """Monomial -> ``compute(group, monomial)``, for the monomials of one
+    (group, degree) that its reader has met.  A miss validates the
+    monomial before it computes the entry, and stores the entry only for
+    a monomial of plain ints."""
+
+    def __init__(self, group: GroupSpec, degree: int, compute):
+        self.group, self.degree, self.compute = group, degree, compute
+
+    def __missing__(self, mon):
+        _validate_monomial(self.group, mon, self.degree)
+        entry = self.compute(self.group, mon)
+        if all(type(i) is int for i in mon):
+            self[mon] = entry
+        return entry
+
+
 @lru_cache(maxsize=32)
-def _faces_table(group: GroupSpec, degree: int) -> dict:
-    """Monomial -> its faces, for the monomials of (group, degree) that
-    :func:`boundary` has met; made empty the first time."""
-    return {}
+def _faces_table(group: GroupSpec, degree: int) -> _MonomialTable:
+    """The faces table of (group, degree), read by :func:`boundary`; made
+    empty the first time."""
+    return _MonomialTable(group, degree, _faces)
 
 
 def as_degree(n) -> int:
@@ -276,19 +292,12 @@ def _faces(group: GroupSpec, mon: Monomial) -> tuple:
 
 def boundary(chain: Chain) -> Chain:
     """The differential.  Degree-0 chains map to the zero chain in degree -1."""
-    group = chain.group
-    faces = _faces_table(group, chain.degree)
+    faces = _faces_table(chain.group, chain.degree)
     out: dict = {}
     for mon, coef in chain.terms.items():
-        hits = faces.get(mon)
-        if hits is None:
-            _validate_monomial(group, mon, chain.degree)
-            hits = _faces(group, mon)
-            if all(type(i) is int for i in mon):
-                faces[mon] = hits
-        for face, mult in hits:
+        for face, mult in faces[mon]:
             out[face] = out.get(face, 0) + coef * mult
-    return Chain(group, chain.degree - 1, out)
+    return Chain(chain.group, chain.degree - 1, out)
 
 
 def is_cycle(chain: Chain) -> bool:

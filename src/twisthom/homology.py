@@ -18,18 +18,20 @@ generators.  A presentation keeps one table of every block it meets,
 exact ones too, each built once, and ``_layout`` maps each block with
 homology to the range of its generators.  A chain is split into its
 blocks' local vectors with one lookup per monomial in the presentation's
-position table, one of the per-monomial tables of :mod:`twisthom.chains`.
-It holds each monomial's block key and the subset of the block's slots
-the monomial raises, which is the monomial's key in its local vector.  A
-monomial met for the first time is validated, then its position is
-computed and stored, so an invalid monomial is refused whatever the
-table holds, and the positions live as long as their presentation.  Each
-local vector is checked as a cycle on its block's Koszul columns,
-touching only the blocks the chain's terms lie in.  ``reduce`` reads a
-cycle's coordinates off the coordinate rows into its blocks' generator
-ranges; a class's order, and so whether it bounds, needs no coordinates.
-Presentations are cached per ``(group, n)`` and compare equal when
-``(group, n)`` is equal.
+position table, a ``chains._MonomialTable``, the one class of the
+per-monomial tables of :mod:`twisthom.chains`.  It holds each monomial's
+block key and the subset of the block's slots the monomial raises, which
+is the monomial's key in its local vector, both computed in one pass over
+the monomial's slots (:func:`_position`).  A monomial met for the first
+time is validated before its position is computed, and the position is
+stored under the table's one rule, so an invalid monomial is refused
+whatever the table holds.  The positions live as long as their
+presentation.  Each local vector is checked as a cycle on its block's
+Koszul columns, touching only the blocks the chain's terms lie in.
+``reduce`` reads a cycle's coordinates off the coordinate rows into its
+blocks' generator ranges; a class's order, and so whether it bounds,
+needs no coordinates.  Presentations are cached per ``(group, n)`` and
+compare equal when ``(group, n)`` is equal.
 
 The block rule.  Let g = gcd(c) in K(c) (g = 0 when no slot is paired),
 and let the cycle z of K(c) have content k, the gcd of its coefficients.
@@ -82,8 +84,9 @@ from math import comb, gcd, lcm
 from .chains import (
     Chain,
     ChainError,
+    _atomic_boundary,
     _degree_cache,
-    _validate_monomial,
+    _MonomialTable,
     as_degree,
     basis,
     block_key,
@@ -231,6 +234,24 @@ def _koszul(coeffs: tuple[int, ...], t: int) -> _Koszul:
     return _Koszul(columns, core, g)
 
 
+def _position(group: GroupSpec, mon) -> tuple:
+    """(block key, raised subset) of one monomial, in one pass over its
+    slots: the key of its block (:func:`~twisthom.chains.block_key`) and
+    the indices, among the block's paired slots
+    (:func:`~twisthom.chains.block_pairing`), of the slots it raises."""
+    key, raised = [], []
+    paired = 0
+    for o, s, i in zip(group.orders, group.signs, mon):
+        if i and _atomic_boundary(o, s, i):
+            raised.append(paired)
+            paired += 1
+            i -= 1
+        elif _atomic_boundary(o, s, i + 1):
+            paired += 1
+        key.append(i)
+    return tuple(key), tuple(raised)
+
+
 class HomologyPresentation:
     """Degree-``n`` homology of a group's small complex.
 
@@ -245,8 +266,8 @@ class HomologyPresentation:
     ``_layout`` maps each block with homology to the range of its
     generators.  ``_parts`` turns a chain into one local vector per block
     it touches, reading each monomial's (block key, raised-slot subset)
-    from ``_positions``, beside ``_blocks``, and filling it on first sight
-    after validation; ``reduce``, ``class_order`` and
+    from ``_positions``, a ``chains._MonomialTable`` of :func:`_position`
+    kept beside ``_blocks``; ``reduce``, ``class_order`` and
     ``is_boundary`` all start there.  ``reduce`` sends a cycle to
     coordinates; ``representative`` lifts coordinates back to a cycle,
     and the two are mutually inverse up to boundaries.  Presentations are
@@ -257,7 +278,7 @@ class HomologyPresentation:
         self.group = group
         self.degree = degree
         self._blocks: dict = {}  # block key -> (slots, _Koszul), every block met
-        self._positions: dict = {}  # monomial -> (block key, raised slots), every one met
+        self._positions = _MonomialTable(group, degree, _position)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HomologyPresentation)
@@ -324,24 +345,16 @@ class HomologyPresentation:
         """The chain's terms split by block, as block key -> local vector,
         refusing a chain from another group or degree, or with a monomial
         outside this degree's basis.  Each monomial costs one lookup in
-        ``_positions``; one met for the first time is validated, then its
-        block key and the subset of its block's slots it raises are
-        stored.  The differential keeps every block, so each part is a
-        cycle when the chain is one."""
-        group, n = self.group, self.degree
-        if chain.group != group or chain.degree != n:
+        ``_positions``, whose miss validates it before computing its
+        block key and the subset of its block's slots it raises.  The
+        differential keeps every block, so each part is a cycle when the
+        chain is one."""
+        if chain.group != self.group or chain.degree != self.degree:
             raise ValueError("chain does not live where this presentation does")
         positions = self._positions
         split: dict = {}
         for mon, coef in chain.terms.items():
-            pos = positions.get(mon)
-            if pos is None:
-                _validate_monomial(group, mon, n)
-                key = block_key(group, mon)
-                slots = self._block(key)[0]
-                raised = tuple(s for s, k in enumerate(slots) if mon[k] != key[k])
-                pos = positions[mon] = (key, raised)
-            key, raised = pos
+            key, raised = positions[mon]
             vec = split.get(key)
             if vec is None:
                 split[key] = {raised: coef}

@@ -41,13 +41,13 @@ this one, so it gives the same classes and verdicts.
 
 One function, :func:`_record`, computes a monomial's record, and one
 table per (group, degree), :func:`_record_table`, keeps it: an
-``lru_cache`` of 32 pairs, one of the per-monomial tables described in
-:mod:`twisthom.chains`.  :func:`wedge` (through :func:`_term_records`)
-and :func:`inversion_chain` read their terms' records from it, and a
-monomial the table has not met is validated before its record is stored
-(:class:`_RecordTable`).  The vanishing pass of :mod:`twisthom.criterion`
-calls :func:`_record` on its presentation's own cycles, with no table
-and no validation.
+``lru_cache`` of 32 pairs, each a ``chains._MonomialTable``, the class of
+every per-monomial table described in :mod:`twisthom.chains`.
+:func:`wedge` (through :func:`_term_records`) and :func:`inversion_chain`
+read their terms' records from it, so a monomial the table has not met
+is validated before its record is computed.  The vanishing pass of
+:mod:`twisthom.criterion` calls :func:`_record` on its presentation's own
+cycles, with no table and no validation.
 
 The sign mu is multiplicative on every product that survives:
 mu(a + b) = mu(a) mu(b) whenever a ^ b != 0.  Slot by slot, ceil((i+k)/2)
@@ -64,7 +64,7 @@ from functools import lru_cache
 from math import comb
 from operator import add
 
-from .chains import Chain, GroupMismatchError, _validate_monomial
+from .chains import Chain, GroupMismatchError, _MonomialTable
 
 
 def _record(group, mon) -> tuple:
@@ -85,24 +85,10 @@ def _record(group, mon) -> tuple:
     return odd, high, prefix & ((1 << len(mon)) - 1), -1 if parity & 1 else 1
 
 
-class _RecordTable(dict):
-    """Monomial -> its record, for the monomials of one (group, degree)
-    that :func:`wedge` or :func:`inversion_chain` has met.  A monomial met
-    for the first time is validated before its record is stored."""
-
-    def __init__(self, group, degree: int):
-        self.group, self.degree = group, degree
-
-    def __missing__(self, mon) -> tuple:
-        _validate_monomial(self.group, mon, self.degree)
-        rec = self[mon] = _record(self.group, mon)
-        return rec
-
-
 @lru_cache(maxsize=32)
-def _record_table(group, degree: int) -> _RecordTable:
+def _record_table(group, degree: int) -> _MonomialTable:
     """The record table of (group, degree), made empty the first time."""
-    return _RecordTable(group, degree)
+    return _MonomialTable(group, degree, _record)
 
 
 def _term_records(chain: Chain) -> list[tuple]:

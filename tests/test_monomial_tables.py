@@ -3,14 +3,17 @@
 ``boundary``, ``wedge``, ``inversion_chain`` and the reduction entry
 points (``reduce``, ``class_order``, ``is_boundary``) read each
 monomial's faces, record (slot masks and j's sign) and (block key,
-raised-slot subset) from a table per (group, degree), filled on first use
-after the monomial is validated: ``chains._faces_table`` and
+raised-slot subset) from a table per (group, degree).  Each table is a
+``chains._MonomialTable``: a miss validates the monomial, computes its
+entry, and stores it only for a monomial of plain ints.  The faces and
+records tables are kept by ``chains._faces_table`` and
 ``pontryagin._record_table``, each an ``lru_cache`` of 32 pairs, and the
-``_positions`` of the cached presentation.  These tests check that a
-cold, a warm and a constantly evicted store give the same answers, that
-each store keeps its bound, that stored entries equal a per-slot
-reference, and that stored valid monomials never let an invalid one
-through.
+positions by the cached presentation, as its ``_positions``.  These
+tests check that the three stores are that one class, that a cold, a
+warm and a constantly evicted store give the same answers, that each
+store keeps its bound, that stored entries equal a per-slot reference,
+that stored valid monomials never let an invalid one through, and that
+a monomial with entries of another type leaves no entry behind.
 """
 
 import importlib
@@ -43,7 +46,7 @@ from twisthom import (
     wedge,
 )
 from twisthom import chains, pontryagin
-from twisthom.chains import _faces_table, block_key
+from twisthom.chains import _faces_table, _MonomialTable, block_key
 from twisthom.homology import class_order, homology, is_boundary, reduce_cycle
 from twisthom.pontryagin import _record_table, inversion_chain
 
@@ -184,16 +187,44 @@ def test_faces_and_multipliers_refuse_invalid_monomials():
         if warm:  # every valid monomial of Z x Z_3 in degrees 2 and 7 stored
             for n in (2, 7):
                 z = Chain(g, n, dict.fromkeys(basis(g, n), 1))
-                boundary(z), inversion_chain(z)
-            assert len(_faces_table(g, 7)) == len(_record_table(g, 7)) == len(basis(g, 7))
+                boundary(z), inversion_chain(z), is_boundary(z)
+            assert (len(_faces_table(g, 7)) == len(_record_table(g, 7))
+                    == len(homology(g, 7)._positions) == len(basis(g, 7)))
         for chain, error in invalid:
-            for call in (boundary, is_cycle, inversion_chain, lambda c: wedge(c, c)):
+            calls = [boundary, is_cycle, inversion_chain, lambda c: wedge(c, c)]
+            if chain.degree >= 0:  # a presentation, and so its positions, exist
+                calls.append(class_order)
+            for call in calls:
                 with pytest.raises(error):
                     call(chain)
         assert _faces_table.cache_info().currsize == len(touched) < 32
         for group, n in touched:
             assert set(_faces_table(group, n)) <= set(basis(group, n))
             assert set(_record_table(group, n)) <= set(basis(group, n))
+            if n >= 0:
+                assert set(homology(group, n)._positions) <= set(basis(group, n))
+
+
+def test_every_store_is_one_validated_table_class():
+    # Faces, records and positions are one class, whose miss validates a
+    # monomial against the table's group and degree before computing its
+    # entry, and stores nothing for a monomial it refuses.
+    g = G("Z x Z_3")
+    invalid = (((0, 0, 2), InvalidMonomialError),  # wrong slot count
+               ((-1, 3), InvalidMonomialError),  # negative entry
+               ((2, 0), InvalidMonomialError),  # Z slot above 1
+               ((0.5, 1.5), InvalidMonomialError),  # not ints
+               ((0, 3), DegreeMismatchError))  # total degree 3
+    clear_stores()
+    for table in (_faces_table(g, 2), _record_table(g, 2), homology(g, 2)._positions):
+        assert type(table) is _MonomialTable
+        assert (table.group, table.degree) == (g, 2)
+        for mon, error in invalid:
+            with pytest.raises(error):
+                table[mon]
+        assert not table
+        assert table[(1, 1)] == table.compute(g, (1, 1))
+        assert list(table) == [(1, 1)]
 
 
 def test_monomials_with_entries_that_are_not_ints_are_refused():
@@ -213,23 +244,35 @@ def test_monomials_with_entries_that_are_not_ints_are_refused():
 
 
 def test_boundary_of_an_equal_monomial_of_other_types_leaves_no_trace():
-    # Faces are stored only for monomials of plain ints, so a bool monomial
-    # met first does not put True into the faces of [1 2].
+    # Every table stores an entry only for a monomial of plain ints, so a
+    # bool monomial met first gets its int twin's answer and leaves no
+    # entry: True never gets into the faces of [1 2].
     g = G("Z x Z_3")
+    y = monomial_chain(g, (0, 2))
+    reads = ((boundary, (True, 2), lambda: _faces_table(g, 3)),
+             (lambda c: wedge(c, y), (True, 2), lambda: _record_table(g, 3)),
+             (inversion_chain, (True, 2), lambda: _record_table(g, 3)),
+             (reduce_cycle, (True, 1), lambda: homology(g, 2)._positions))
+    for read, mon, table in reads:
+        clear_stores()
+        first = read(monomial_chain(g, mon, 2))
+        assert not table()
+        twin = tuple(map(int, mon))
+        assert read(monomial_chain(g, twin, 2)) == first
+        assert [type(i) for m in table() for i in m] == [int, int]
     clear_stores()
     assert format_chain(boundary(monomial_chain(g, (True, 2)))) == "-3*[True 1]"
     assert format_chain(boundary(parse_chain(g, "[1 2]"))) == "-3*[1 1]"
 
 
 def test_wedge_after_an_equal_monomial_of_other_types_gives_int_monomials():
-    # A record holds no monomial, so the record of (True, 2), stored first,
-    # serves (1, 2), and a product's monomial is the sum of its factors'.
+    # The record of (True, 2), met first, is not stored, and a product's
+    # monomial is the sum of its factors'.
     g = G("Z x Z_3")
     clear_stores()
     y = monomial_chain(g, (0, 2))
     first = wedge(monomial_chain(g, (True, 2)), y)
-    (stored,) = _record_table(g, 3)
-    assert type(stored[0]) is bool
+    assert not _record_table(g, 3)
     second = wedge(parse_chain(g, "[1 2]"), y)
     assert first == second == parse_chain(g, "2*[1 4]")
     assert all(type(i) is int for c in (first, second) for mon in c.terms for i in mon)
