@@ -55,6 +55,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
+from math import gcd
 
 from .groups import GroupSpec
 from .snf import _addmul
@@ -376,6 +377,62 @@ def block_pairing(group: GroupSpec, key: Monomial) -> tuple[tuple[int, ...], tup
             coeffs.append(-hit[1] if parity else hit[1])
         parity ^= i & 1
     return tuple(slots), tuple(coeffs)
+
+
+def block_keys(group: GroupSpec, n: int) -> list[tuple[Monomial, tuple[int, ...], tuple[int, ...]]]:
+    """(key, slots, coefficients) of each degree-``n`` block that can carry
+    homology, slots and coefficients as :func:`block_pairing` gives them,
+    in the order the keys first appear in :func:`basis`; no basis is
+    enumerated.
+
+    The walk goes slot by slot with the remaining degree.  A slot's key
+    value is 0 or a degree where its differential vanishes, at most 1 on
+    an infinite slot, and the slot is paired when its differential is
+    nonzero one degree up (both read off :func:`_atomic_boundary`).  A
+    block of degree n raises t = n - |key| of its m paired slots, so
+    0 <= t <= m.  A branch is cut as soon as the gcd of its coefficients
+    is 1: the gcd only falls as slots are added, and a block of gcd 1 is
+    exact, so every key left out has no homology.  A block's lex-least
+    monomial is its key raised on its last t paired slots; the keys are
+    sorted by it, which is the order of first appearance in the basis.
+    """
+    if n < 0:
+        return []
+    l = len(group.orders)
+    # Per slot, (key value, pair coefficient or 0) in increasing value; a
+    # value that tops a pair is no key value.
+    values = [[(v, hit[1] if (hit := _atomic_boundary(o, s, v + 1)) else 0)
+               for v in range((1 if o == 0 else n) + 1) if not (v and _atomic_boundary(o, s, v))]
+              for o, s in zip(group.orders, group.signs)]
+    found = []
+    key = [0] * l
+    slots, coeffs = [], []
+
+    def rec(k: int, remaining: int, g: int, parity: int) -> None:
+        if k == l:
+            if remaining > len(slots):
+                return
+            least = key.copy()
+            for j in slots[len(slots) - remaining:]:
+                least[j] += 1
+            found.append((least, (tuple(key), tuple(slots), tuple(coeffs))))
+            return
+        for v, c in values[k]:
+            if v > remaining:
+                break
+            key[k] = v
+            if not c:
+                rec(k + 1, remaining - v, g, parity ^ (v & 1))
+            elif (h := gcd(g, c)) != 1:
+                slots.append(k)
+                coeffs.append(-c if parity else c)
+                rec(k + 1, remaining - v, h, parity ^ (v & 1))
+                slots.pop()
+                coeffs.pop()
+
+    rec(0, n, 0, 0)
+    found.sort(key=lambda f: f[0])
+    return [block for _, block in found]
 
 
 _TERM_RE = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?\[([^\[\]]*)\]")

@@ -14,11 +14,18 @@ of the transposed incoming differential written in cycle coordinates; it
 hands out one coordinate row and one cycle vector per generator, keyed by
 subset too, so no index of subsets is kept.  A block whose coefficients
 have gcd 1 is exact: its presentation is empty and it holds no
-generators.  A presentation keeps one table of every block it meets,
-exact ones too, each built once, and ``_layout`` maps each block with
-homology to the range of its generators.  A chain is split into its
-blocks' local vectors with one lookup per monomial in the presentation's
-position table, a ``chains._MonomialTable``, the one class of the
+generators (``test_koszul_shapes_are_closed_form``).  ``_layout`` maps
+each block with homology to the range of its generators.  It reads no
+basis: :func:`twisthom.chains.block_keys` enumerates the block keys of
+degree n in closed form, slot by slot, and cuts a branch as soon as the
+gcd of its coefficients is 1, so the exact blocks with paired slots are
+never listed.  The keys come sorted by their block's lex-least monomial,
+which is the order they first appear in the basis.  A presentation keeps
+one table of every block it meets, each built once: the listed blocks
+when ``_layout`` is read, and any other block, exact ones too, when a
+chain first touches it.  A chain is split into its blocks' local
+vectors with one lookup per monomial in the presentation's position
+table, a ``chains._MonomialTable``, the one class of the
 per-monomial tables of :mod:`twisthom.chains`.  It holds each monomial's
 block key and the subset of the block's slots the monomial raises, which
 is the monomial's key in its local vector, both computed in one pass over
@@ -88,8 +95,7 @@ from .chains import (
     _degree_cache,
     _MonomialTable,
     as_degree,
-    basis,
-    block_key,
+    block_keys,
     block_pairing,
 )
 from .groups import GroupSpec
@@ -134,14 +140,15 @@ class HomologyClass:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "free", tuple(self.free))
         divisors = self.presentation.torsion_divisors
-        if len(self.free) != self.presentation.free_rank or len(self.torsion) != len(divisors):
+        free = tuple(self.free)
+        if len(free) != self.presentation.free_rank or len(self.torsion) != len(divisors):
             raise ValueError("coordinate arity disagrees with the presentation")
-        if not all(isinstance(c, int) for c in (*self.free, *self.torsion)):
+        if not all(isinstance(c, int) for c in (*free, *self.torsion)):
             raise TypeError("homology coordinates must be integers")
-        fixed = tuple(c % d for c, d in zip(self.torsion, divisors))
-        object.__setattr__(self, "torsion", fixed)
+        # Plain ints, so a bool reads as its int, as the torsion's % makes it.
+        object.__setattr__(self, "free", tuple(map(int, free)))
+        object.__setattr__(self, "torsion", tuple(c % d for c, d in zip(self.torsion, divisors)))
 
     @property
     def is_zero(self) -> bool:
@@ -257,21 +264,23 @@ class HomologyPresentation:
 
     The direct sum of the homology of its Koszul blocks.  Generators are
     ordered torsion first (matching ``torsion_divisors``) then free, each
-    block's generators together, blocks in the order their keys first
-    appear in the basis.  ``torsion_divisors`` lists each torsion
-    generator's order; within a block every entry is the gcd of the
-    block's coefficients, so the list is not a divisor chain.  ``str``
-    prints the primary decomposition.
+    block's generators together, blocks in the order of their lex-least
+    monomials, as :func:`~twisthom.chains.block_keys` enumerates their
+    keys in closed form, with no block of coefficient gcd 1.
+    ``torsion_divisors`` lists each torsion generator's order; within a
+    block every entry is the gcd of the block's coefficients, so the list
+    is not a divisor chain.  ``str`` prints the primary decomposition.
     Every block the presentation meets is kept once, exact ones too, and
     ``_layout`` maps each block with homology to the range of its
-    generators.  ``_parts`` turns a chain into one local vector per block
-    it touches, reading each monomial's (block key, raised-slot subset)
-    from ``_positions``, a ``chains._MonomialTable`` of :func:`_position`
-    kept beside ``_blocks``; ``reduce``, ``class_order`` and
-    ``is_boundary`` all start there.  ``reduce`` sends a cycle to
-    coordinates; ``representative`` lifts coordinates back to a cycle,
-    and the two are mutually inverse up to boundaries.  Presentations are
-    values: equal and hashable on ``(group, degree)``.
+    generators; the exact blocks it never lists are built by ``_block``
+    when a chain touches them.  ``_parts`` turns a chain into one local
+    vector per block it touches, reading each monomial's (block key,
+    raised-slot subset) from ``_positions``, a ``chains._MonomialTable``
+    of :func:`_position` kept beside ``_blocks``; ``reduce``,
+    ``class_order`` and ``is_boundary`` all start there.  ``reduce``
+    sends a cycle to coordinates; ``representative`` lifts coordinates
+    back to a cycle, and the two are mutually inverse up to boundaries.
+    Presentations are values: equal and hashable on ``(group, degree)``.
     """
 
     def __init__(self, group: GroupSpec, degree: int):
@@ -298,10 +307,14 @@ class HomologyPresentation:
     @cached_property
     def _layout(self) -> dict:
         """Block key -> range of its generators, for each block with
-        homology, in generator order."""
-        group, n = self.group, self.degree
-        keys = dict.fromkeys(block_key(group, m) for m in basis(group, n))
-        cores = [(k, core) for k in keys if (core := self._block(k)[1].core).generators]
+        homology, in generator order; each block :func:`block_keys` lists
+        is stored in ``_blocks``."""
+        n, cores = self.degree, []
+        for key, slots, coeffs in block_keys(self.group, n):
+            kos = _koszul(coeffs, n - sum(key))
+            self._blocks[key] = (slots, kos)
+            if kos.core.generators:
+                cores.append((key, kos.core))
         cores.sort(key=lambda kc: not kc[1].torsion)
         out, start = {}, 0
         for k, core in cores:

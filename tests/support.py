@@ -24,7 +24,7 @@ from twisthom import (
     zero_chain,
 )
 from twisthom.chains import _atomic_boundary, basis, block_key, product_block_key
-from twisthom.homology import class_order, generating_cycles, is_boundary
+from twisthom.homology import HomologyPresentation, class_order, generating_cycles, is_boundary
 from twisthom.pontryagin import inversion_chain
 
 
@@ -316,6 +316,22 @@ def reference_orbit_counts(group: GroupSpec, n: int) -> tuple[int, int, int, int
             counts[rule] += size
     return (counts["formed"], counts["skipped_free"], counts["skipped_degree"],
             counts["orbit"])
+
+
+def reference_layout(group: GroupSpec, n: int) -> dict:
+    """Block key -> range of its generators, by the basis walk: every key
+    in the order it first appears in ``basis(group, n)``, its block built
+    by ``_block`` of a fresh presentation, the blocks with homology kept
+    and ordered torsion first."""
+    fresh = HomologyPresentation(group, n)
+    keys = dict.fromkeys(block_key(group, m) for m in basis(group, n))
+    cores = [(k, core) for k in keys if (core := fresh._block(k)[1].core).generators]
+    cores.sort(key=lambda kc: not kc[1].torsion)
+    out, start = {}, 0
+    for k, core in cores:
+        out[k] = range(start, start + len(core.generators))
+        start = out[k].stop
+    return out
 
 
 def reference_faces(group: GroupSpec, mon) -> tuple:

@@ -1,14 +1,26 @@
 """Homology presentations: closed forms, reduction, and Kunneth checks."""
 
 import hashlib
+import importlib.util
 import itertools
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
-from support import SHARPNESS_CELLS, G, PROPERTY_GROUPS, grid_groups, random_chain, random_cycle
+from support import (
+    SHARPNESS_CELLS,
+    G,
+    PROPERTY_GROUPS,
+    grid_groups,
+    mixed_slot_family,
+    random_chain,
+    random_cycle,
+    reference_layout,
+    twisted_cells,
+)
 from twisthom import (
     AbelianType,
     Chain,
@@ -29,6 +41,7 @@ from twisthom import (
 from twisthom.chains import (
     basis,
     block_key,
+    block_keys,
     block_pairing,
     format_chain,
     monomial_chain,
@@ -43,6 +56,8 @@ from twisthom.homology import (
     is_boundary,
 )
 from twisthom.pontryagin import inversion_chain, wedge
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
@@ -100,6 +115,9 @@ def test_homology_classes_are_values_whatever_sequence_holds_the_coordinates():
     assert a == b and hash(a) == hash(b)
     assert a.free == (1,) and a.torsion == (1,)
     assert len({a, b, h.generator(0) + h.generator(1)}) == 1
+    # A bool free coordinate was kept as a bool, printed "(0 mod 2, True)".
+    c = HomologyClass(h, (True,), (0,))
+    assert type(c.free[0]) is int and str(c) == str(h.reduce(c.representative())) == "(0 mod 2, 1)"
 
 
 def test_generator_refuses_a_non_integer_index():
@@ -447,6 +465,46 @@ def test_exact_blocks_are_built_once(monkeypatch):
     made = len(calls)
     assert is_boundary(z)
     assert len(calls) == made
+
+
+def _layout_cells() -> list:
+    """The grid and sharpness groups in degrees 0..6, the twisted and
+    mixed-slot families, the benchmark's large presentations to their top
+    degree, the trivial group, and Z_2^8 in degree 12."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    groups = dict.fromkeys(grid_groups() + [G(text) for text, _ in SHARPNESS_CELLS])
+    cells = [(g, n) for g in groups for n in range(7)] + twisted_cells() + mixed_slot_family()
+    cells += [(G(text), n) for text, top in workloads.HOMOLOGY_GROUPS for n in range(top + 1)]
+    cells += [(G("1"), n) for n in range(4)]
+    return cells + [(G(" x ".join(["Z_2"] * 8)), 12)]
+
+
+def test_layout_enumerates_the_basis_walk_in_closed_form():
+    for g, n in _layout_cells():
+        h = homology(g, n)
+        assert list(h._layout.items()) == list(reference_layout(g, n).items()), (g, n)
+        for key in h._layout:
+            slots, coeffs = block_pairing(g, key)
+            assert h._blocks[key] == (slots, _koszul(coeffs, n - sum(key)))
+        # The keys left out are the blocks with paired slots of gcd 1.
+        walked = dict.fromkeys(block_key(g, mon) for mon in basis(g, n))
+        kept = [key for key in walked if math.gcd(*block_pairing(g, key)[1]) != 1]
+        assert block_keys(g, n) == [(key, *block_pairing(g, key)) for key in kept], (g, n)
+
+
+def test_presenting_a_degree_reads_no_basis():
+    module = sys.modules["twisthom.homology"]
+    assert not hasattr(module, "basis")
+    module.homology.cache_clear()
+    basis.cache_clear()
+    for text, n in (("Z x Z_3 x Z_4~", 5), ("Z~ x Z_2 x Z_4~ x Z_2~ x Z_3", 6),
+                    ("Z_2 x Z_2 x Z_2 x Z_2 x Z_2", 8), ("Z^3 x Z_2", 4), ("1", 0)):
+        h = module.homology(G(text), n)
+        assert h._layout and h.num_generators == len(h._cycles)
+        assert [h.reduce(z) for z in h._cycles] == h.generators()
+    assert basis.cache_info().currsize == 0
 
 
 # sha256 of format_chain of every generating cycle over the grid and
