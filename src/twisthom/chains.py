@@ -15,17 +15,28 @@ of its per-factor degrees, summing to n.  The tensor differential applies
 each factor's differential in place with the usual sign, (-1) to the sum
 of the degrees strictly before that slot.
 
+Koszul blocks.  Every slot splits into pieces ``[i]`` alone or
+``[i+1] --c--> [i]`` (c = q on an untwisted Z_q, c = 2 on a twisted
+factor, no pairs on an untwisted Z), so the complex is a direct sum of
+Koszul complexes K(c_1..c_m), one per block key: the vector of lower
+ends.  Three functions read the slot rule for blocks, each the one place
+its question is answered.  :func:`block_position` gives a monomial's
+block key and the subset of its block's paired slots it raises, which
+is its key in the block's local vector; :func:`block_pairing` gives a
+key's paired slots and signed coefficients; :func:`block_keys` lists
+the degree-n keys whose blocks can carry homology, with no basis.
+
 Per-monomial tables.  The law checks meet the same monomials again and
 again, so each monomial's data is computed once per (group, degree) and
 kept in a table of that pair, owned by the module that reads it: its
 faces under the differential with their signed coefficients in
 :func:`_faces_table` (read by :func:`boundary`), its record of slot
 masks and j's sign in ``pontryagin._record_table`` (read by ``wedge``
-and ``inversion_chain``), and its block key and the subset of its
-block's slots it raises in the presentation's ``_positions`` (read by
-``reduce``, ``class_order`` and ``is_boundary``).  All three are one
-class, :class:`_MonomialTable`, with one rule on a miss: the monomial is
-validated against the group and the table's degree
+and ``inversion_chain``), and its :func:`block_position` in the
+presentation's ``_positions`` (read by ``reduce``, ``class_order`` and
+``is_boundary``).  All three are one class, :class:`_MonomialTable`,
+with one rule on a miss: the monomial is validated against the group
+and the table's degree
 (:func:`_validate_monomial`), its entry is computed, and the entry is
 stored only when every entry of the monomial is a plain ``int``.  So a
 monomial outside the basis is refused with ``InvalidMonomialError`` or
@@ -263,16 +274,16 @@ def basis(group: GroupSpec, n: int):
     return tuple(out)
 
 
-def _atomic_boundary(order: int, sign: int, i: int) -> tuple[int, int] | None:
-    """(lower index, coefficient) for one slot, or None when that slot's
-    differential vanishes in degree i."""
+def _atomic_boundary(order: int, sign: int, i: int) -> int:
+    """The coefficient c of d[i] = c[i-1] on one slot, or 0 when that
+    slot's differential vanishes in degree i."""
     if i <= 0:
-        return None
+        return 0
     if order == 0:
-        return (0, 2) if (sign == -1 and i == 1) else None
+        return 2 if sign == -1 and i == 1 else 0
     if sign == 1:
-        return (i - 1, order) if i % 2 == 0 else None
-    return (i - 1, 2) if i % 2 == 1 else None
+        return order if i % 2 == 0 else 0
+    return 2 if i % 2 == 1 else 0
 
 
 def _faces(group: GroupSpec, mon: Monomial) -> tuple:
@@ -283,10 +294,9 @@ def _faces(group: GroupSpec, mon: Monomial) -> tuple:
     parity = 0  # degree sum strictly before the current slot, mod 2
     for k, i in enumerate(mon):
         if i:
-            hit = _atomic_boundary(orders[k], signs[k], i)
-            if hit is not None:
-                j, mult = hit
-                out.append((mon[:k] + (j,) + mon[k + 1:], -mult if parity else mult))
+            c = _atomic_boundary(orders[k], signs[k], i)
+            if c:
+                out.append((mon[:k] + (i - 1,) + mon[k + 1:], -c if parity else c))
             parity ^= i & 1
     return tuple(out)
 
@@ -303,19 +313,6 @@ def boundary(chain: Chain) -> Chain:
 
 def is_cycle(chain: Chain) -> bool:
     return boundary(chain).is_zero
-
-
-def block_key(group: GroupSpec, mon: Monomial) -> Monomial:
-    """The lowest monomial of the Koszul block that holds ``mon``.
-
-    Every slot splits into pieces ``[i]`` alone or ``[i+1] --c--> [i]``, so
-    the complex is a direct sum of Koszul complexes, one per vector of
-    lower ends.  Each slot whose differential is nonzero in its degree
-    drops to the lower end of its pair; the others stay.
-    """
-    orders, signs = group.orders, group.signs
-    return tuple(i - 1 if i and _atomic_boundary(o, s, i) else i
-                 for o, s, i in zip(orders, signs, mon))
 
 
 def key_masks(group: GroupSpec, key: Monomial) -> tuple[int, int]:
@@ -358,6 +355,30 @@ def product_block_key(group: GroupSpec, a: Monomial, b: Monomial) -> Monomial | 
     return tuple(i + j + (raised >> k & 1) for k, (i, j) in enumerate(zip(a, b)))
 
 
+def block_position(group: GroupSpec, mon: Monomial) -> tuple[Monomial, tuple[int, ...]]:
+    """(key, raised) of one monomial, in one pass over its slots: the key
+    of the block that holds it, and the indices, among that block's paired
+    slots (:func:`block_pairing`), of the slots it raises.
+
+    A slot whose differential is nonzero in its degree is raised: the
+    key holds the lower end of its pair there.  The others keep their
+    degree in the key, and are paired when their differential is nonzero
+    one degree up.
+    """
+    key, raised = [], []
+    paired = 0
+    for o, s, i in zip(group.orders, group.signs, mon):
+        # The i test saves a call on every zero slot.
+        if i and _atomic_boundary(o, s, i):
+            raised.append(paired)
+            paired += 1
+            i -= 1
+        elif _atomic_boundary(o, s, i + 1):
+            paired += 1
+        key.append(i)
+    return tuple(key), tuple(raised)
+
+
 def block_pairing(group: GroupSpec, key: Monomial) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(slots, coefficients) of the slots paired in the block of ``key``.
 
@@ -371,10 +392,10 @@ def block_pairing(group: GroupSpec, key: Monomial) -> tuple[tuple[int, ...], tup
     slots, coeffs = [], []
     parity = 0  # key degree sum strictly before the current slot, mod 2
     for k, i in enumerate(key):
-        hit = _atomic_boundary(orders[k], signs[k], i + 1)
-        if hit is not None:
+        c = _atomic_boundary(orders[k], signs[k], i + 1)
+        if c:
             slots.append(k)
-            coeffs.append(-hit[1] if parity else hit[1])
+            coeffs.append(-c if parity else c)
         parity ^= i & 1
     return tuple(slots), tuple(coeffs)
 
@@ -395,14 +416,16 @@ def block_keys(group: GroupSpec, n: int) -> list[tuple[Monomial, tuple[int, ...]
     exact, so every key left out has no homology.  A block's lex-least
     monomial is its key raised on its last t paired slots; the keys are
     sorted by it, which is the order of first appearance in the basis.
+    A degree that is not an int raises ``TypeError``.
     """
+    n = as_degree(n)
     if n < 0:
         return []
     l = len(group.orders)
     # Per slot, (key value, pair coefficient or 0) in increasing value; a
     # value that tops a pair is no key value.
-    values = [[(v, hit[1] if (hit := _atomic_boundary(o, s, v + 1)) else 0)
-               for v in range((1 if o == 0 else n) + 1) if not (v and _atomic_boundary(o, s, v))]
+    values = [[(v, _atomic_boundary(o, s, v + 1))
+               for v in range((1 if o == 0 else n) + 1) if not _atomic_boundary(o, s, v)]
               for o, s in zip(group.orders, group.signs)]
     found = []
     key = [0] * l

@@ -268,7 +268,7 @@ def vanishes_for_all(group: GroupSpec, n: int) -> Verdict:
         g = block_gcds.get(key)
         if g is None:
             g = block_gcds[key] = gcd(*block_pairing(group, key)[1])
-        return block_order(g, {m: c for m, c in value.items() if c})
+        return block_order(g, value)
 
     counts = _orbit_pass(group, n, h._layout, pair_order)
     if counts is None:

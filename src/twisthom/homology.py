@@ -1,9 +1,8 @@
 """Homology groups of the small complex, with exact reduction to coordinates.
 
-Each factor's complex splits into pieces ``Z`` or ``Z --c--> Z`` (c = q on
-an untwisted Z_q, c = 2 on a twisted factor, no pairs on an untwisted Z),
-so the whole complex is a direct sum of Koszul complexes K(c_1..c_m), one
-per block key (see :func:`twisthom.chains.block_key`).
+The small complex is a direct sum of Koszul complexes K(c_1..c_m), one
+per block key; the rules that place a monomial in its block, pair a
+block's slots and list the blocks live in :mod:`twisthom.chains`.
 ``homology(group, n)`` presents H_n as the direct sum of the blocks'
 homology: each block is presented once per shape (signed coefficients and
 degree) by ``quotient_presentation``, whose columns are the block's
@@ -16,24 +15,21 @@ subset too, so no index of subsets is kept.  A block whose coefficients
 have gcd 1 is exact: its presentation is empty and it holds no
 generators (``test_koszul_shapes_are_closed_form``).  ``_layout`` maps
 each block with homology to the range of its generators.  It reads no
-basis: :func:`twisthom.chains.block_keys` enumerates the block keys of
-degree n in closed form, slot by slot, and cuts a branch as soon as the
-gcd of its coefficients is 1, so the exact blocks with paired slots are
-never listed.  The keys come sorted by their block's lex-least monomial,
-which is the order they first appear in the basis.  A presentation keeps
+basis: :func:`twisthom.chains.block_keys` lists the block keys of
+degree n in closed form, in the order they first appear in the basis,
+and leaves out the exact blocks with paired slots.  A presentation keeps
 one table of every block it meets, each built once: the listed blocks
 when ``_layout`` is read, and any other block, exact ones too, when a
 chain first touches it.  A chain is split into its blocks' local
 vectors with one lookup per monomial in the presentation's position
 table, a ``chains._MonomialTable``, the one class of the
 per-monomial tables of :mod:`twisthom.chains`.  It holds each monomial's
-block key and the subset of the block's slots the monomial raises, which
-is the monomial's key in its local vector, both computed in one pass over
-the monomial's slots (:func:`_position`).  A monomial met for the first
-time is validated before its position is computed, and the position is
-stored under the table's one rule, so an invalid monomial is refused
-whatever the table holds.  The positions live as long as their
-presentation.  Each local vector is checked as a cycle on its block's
+:func:`~twisthom.chains.block_position`: its block key and its key in
+the block's local vector.  A monomial met for the first time is
+validated before its position is computed, and the position is stored
+under the table's one rule, so an invalid monomial is refused whatever
+the table holds.  The positions live as long as their presentation.
+Each local vector is checked as a cycle on its block's
 Koszul columns, touching only the blocks the chain's terms lie in.
 ``reduce`` reads a cycle's coordinates off the coordinate rows into its
 blocks' generator ranges; a class's order, and so whether it bounds,
@@ -91,12 +87,12 @@ from math import comb, gcd, lcm
 from .chains import (
     Chain,
     ChainError,
-    _atomic_boundary,
     _degree_cache,
     _MonomialTable,
     as_degree,
     block_keys,
     block_pairing,
+    block_position,
 )
 from .groups import GroupSpec
 from .snf import QuotientPresentation, _combination, quotient_presentation
@@ -241,24 +237,6 @@ def _koszul(coeffs: tuple[int, ...], t: int) -> _Koszul:
     return _Koszul(columns, core, g)
 
 
-def _position(group: GroupSpec, mon) -> tuple:
-    """(block key, raised subset) of one monomial, in one pass over its
-    slots: the key of its block (:func:`~twisthom.chains.block_key`) and
-    the indices, among the block's paired slots
-    (:func:`~twisthom.chains.block_pairing`), of the slots it raises."""
-    key, raised = [], []
-    paired = 0
-    for o, s, i in zip(group.orders, group.signs, mon):
-        if i and _atomic_boundary(o, s, i):
-            raised.append(paired)
-            paired += 1
-            i -= 1
-        elif _atomic_boundary(o, s, i + 1):
-            paired += 1
-        key.append(i)
-    return tuple(key), tuple(raised)
-
-
 class HomologyPresentation:
     """Degree-``n`` homology of a group's small complex.
 
@@ -274,12 +252,13 @@ class HomologyPresentation:
     ``_layout`` maps each block with homology to the range of its
     generators; the exact blocks it never lists are built by ``_block``
     when a chain touches them.  ``_parts`` turns a chain into one local
-    vector per block it touches, reading each monomial's (block key,
-    raised-slot subset) from ``_positions``, a ``chains._MonomialTable``
-    of :func:`_position` kept beside ``_blocks``; ``reduce``,
-    ``class_order`` and ``is_boundary`` all start there.  ``reduce``
-    sends a cycle to coordinates; ``representative`` lifts coordinates
-    back to a cycle, and the two are mutually inverse up to boundaries.
+    vector per block it touches, reading each monomial's
+    :func:`~twisthom.chains.block_position` (block key, raised-slot
+    subset) from ``_positions``, a ``chains._MonomialTable`` kept beside
+    ``_blocks``; ``reduce``, ``class_order`` and ``is_boundary`` all
+    start there.  ``reduce`` sends a cycle to coordinates;
+    ``representative`` lifts coordinates back to a cycle, and the two are
+    mutually inverse up to boundaries.
     Presentations are values: equal and hashable on ``(group, degree)``.
     """
 
@@ -287,7 +266,7 @@ class HomologyPresentation:
         self.group = group
         self.degree = degree
         self._blocks: dict = {}  # block key -> (slots, _Koszul), every block met
-        self._positions = _MonomialTable(group, degree, _position)
+        self._positions = _MonomialTable(group, degree, block_position)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HomologyPresentation)
@@ -451,12 +430,16 @@ def reduce_cycle(chain: Chain) -> HomologyClass:
 def block_order(g: int, vec: dict) -> int:
     """The block rule: the order of a cycle of a Koszul block whose
     coefficients have gcd ``g``, given by its coefficients ``vec`` (any
-    mapping), g / gcd(g, content); 1 for the zero vector, 0 for infinite.
+    mapping, zero values allowed), g / gcd(g, content); 1 for the zero
+    vector, 0 for infinite.
 
     >>> block_order(6, {0: 4, 1: -2}), block_order(0, {0: 3}), block_order(0, {})
     (3, 0, 1)
+    >>> block_order(0, {0: 0}), block_order(6, {0: 0, 1: 4})
+    (1, 3)
     """
-    return g // gcd(g, *vec.values()) if vec else 1
+    k = gcd(*vec.values())
+    return g // gcd(g, k) if k else 1
 
 
 def class_order(chain: Chain) -> int:
@@ -513,8 +496,8 @@ class AbelianType:
     @staticmethod
     def from_divisors(rank: int, divisors) -> "AbelianType":
         primaries = []
-        for d in divisors:
-            primaries.extend(_prime_power_split(d))
+        for d, run in itertools.groupby(sorted(divisors)):
+            primaries.extend(_prime_power_split(d) * len(list(run)))
         return AbelianType(rank, tuple(sorted(primaries)))
 
     @staticmethod

@@ -23,7 +23,7 @@ from twisthom import (
     parse_group_spec,
     zero_chain,
 )
-from twisthom.chains import _atomic_boundary, basis, block_key, product_block_key
+from twisthom.chains import _atomic_boundary, basis, block_position, product_block_key
 from twisthom.homology import HomologyPresentation, class_order, generating_cycles, is_boundary
 from twisthom.pontryagin import inversion_chain
 
@@ -299,7 +299,7 @@ def reference_orbit_counts(group: GroupSpec, n: int) -> tuple[int, int, int, int
     """
     blocks: dict = {}
     for i, z in enumerate(generating_cycles(group, n)):
-        blocks.setdefault(block_key(group, next(iter(z.terms))), []).append(i)
+        blocks.setdefault(block_position(group, next(iter(z.terms)))[0], []).append(i)
     types = tuple(map(reference_slot_type, group.orders, group.signs))
     counts = dict.fromkeys(("skipped_free", "skipped_degree", "formed", "orbit"), 0)
     tested = set()
@@ -324,7 +324,7 @@ def reference_layout(group: GroupSpec, n: int) -> dict:
     by ``_block`` of a fresh presentation, the blocks with homology kept
     and ordered torsion first."""
     fresh = HomologyPresentation(group, n)
-    keys = dict.fromkeys(block_key(group, m) for m in basis(group, n))
+    keys = dict.fromkeys(block_position(group, m)[0] for m in basis(group, n))
     cores = [(k, core) for k in keys if (core := fresh._block(k)[1].core).generators]
     cores.sort(key=lambda kc: not kc[1].torsion)
     out, start = {}, 0
@@ -340,10 +340,9 @@ def reference_faces(group: GroupSpec, mon) -> tuple:
     coefficient signed by the degrees of the slots before it."""
     out = []
     for k, i in enumerate(mon):
-        hit = _atomic_boundary(group.orders[k], group.signs[k], i)
-        if hit is not None:
-            j, c = hit
-            out.append((mon[:k] + (j,) + mon[k + 1:], (-1) ** sum(mon[:k]) * c))
+        c = _atomic_boundary(group.orders[k], group.signs[k], i)
+        if c:
+            out.append((mon[:k] + (i - 1,) + mon[k + 1:], (-1) ** sum(mon[:k]) * c))
     return tuple(out)
 
 

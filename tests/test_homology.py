@@ -40,9 +40,9 @@ from twisthom import (
 )
 from twisthom.chains import (
     basis,
-    block_key,
     block_keys,
     block_pairing,
+    block_position,
     format_chain,
     monomial_chain,
     product_block_key,
@@ -177,6 +177,14 @@ def test_a_bool_degree_is_read_as_its_int():
     assert homology_type.cache_info().currsize == 1
     with pytest.raises(TypeError, match="homology degree must be an integer"):
         homology(g, "1")
+
+
+def test_block_keys_checks_its_degree():
+    g = G("Z_2 x Z")
+    for bad in (1.5, "2"):
+        with pytest.raises(TypeError, match="homology degree must be an integer"):
+            block_keys(g, bad)
+    assert block_keys(g, True) == block_keys(g, 1)
 
 
 def test_infinite_order_class():
@@ -325,6 +333,23 @@ def test_abelian_type_algebra():
     assert AbelianType.from_divisors(0, ()) == homology_type(G("Z"), 3)
 
 
+def test_from_divisors_splits_each_distinct_divisor_once(monkeypatch):
+    module = sys.modules["twisthom.homology"]
+    calls = []
+    split = module._prime_power_split
+
+    def counted(d):
+        calls.append(d)
+        return split(d)
+
+    monkeypatch.setattr(module, "_prime_power_split", counted)
+    divisors = (2, 12, 2, 12, 2)
+    t = AbelianType.from_divisors(1, divisors)
+    assert sorted(calls) == [2, 12]
+    assert t == AbelianType(1, tuple(sorted(p for d in divisors for p in split(d))))
+    assert str(t) == "Z + Z_2^3 + Z_4^2 + Z_3^2"
+
+
 def test_primary_form_and_block_divisors():
     h = homology(G("Z_6"), 1)
     assert str(h) == "Z_2 + Z_3"
@@ -361,11 +386,11 @@ def test_blocks_are_koszul_complexes(group):
     g = G(group)
     for n in range(6):
         for mon in basis(g, n):
-            key = block_key(g, mon)
+            key, raised = block_position(g, mon)
             slots, coeffs = block_pairing(g, key)
             t = n - sum(key)
             subset = tuple(s for s, k in enumerate(slots) if mon[k] != key[k])
-            assert len(subset) == t
+            assert raised == subset and len(subset) == t
             assert all(mon[slots[s]] == key[slots[s]] + 1 for s in subset)
             column = _koszul(coeffs, t).columns[subset]
             want = {}
@@ -375,7 +400,7 @@ def test_blocks_are_koszul_complexes(group):
                     target[slots[s]] += 1
                 want[tuple(target)] = v
             d = boundary(monomial_chain(g, mon)).terms
-            assert all(block_key(g, target) == key for target in d)
+            assert all(block_position(g, target)[0] == key for target in d)
             assert d == want
 
 
@@ -387,9 +412,9 @@ def test_products_land_in_the_predicted_block(group):
     g = G(group)
     for n in (1, 2, 3):
         gens = generating_cycles(g, n)
-        keys = [block_key(g, next(iter(z.terms))) for z in gens]
+        keys = [block_position(g, next(iter(z.terms)))[0] for z in gens]
         for z, key in zip(gens, keys):
-            assert {block_key(g, mon) for mon in z.terms} == {key}
+            assert {block_position(g, mon)[0] for mon in z.terms} == {key}
         for zi, ki in zip(gens, keys):
             for zj, kj in zip(gens, keys):
                 product = wedge(zi, inversion_chain(zj))
@@ -397,7 +422,7 @@ def test_products_land_in_the_predicted_block(group):
                 if target is None or sum(target) > 2 * n:
                     assert product.is_zero
                 else:
-                    assert all(block_key(g, mon) == target for mon in product.terms)
+                    assert all(block_position(g, mon)[0] == target for mon in product.terms)
 
 
 def test_product_block_key_rules():
@@ -460,7 +485,7 @@ def test_exact_blocks_are_built_once(monkeypatch):
 
     monkeypatch.setattr(module, "block_pairing", counted)
     z = boundary(parse_chain(G("Z_2 x Z_3"), "[2 2]"))
-    assert block_key(z.group, (2, 1)) == block_key(z.group, (1, 2)) == (1, 1)
+    assert block_position(z.group, (2, 1))[0] == block_position(z.group, (1, 2))[0] == (1, 1)
     assert is_boundary(z)
     made = len(calls)
     assert is_boundary(z)
@@ -489,7 +514,7 @@ def test_layout_enumerates_the_basis_walk_in_closed_form():
             slots, coeffs = block_pairing(g, key)
             assert h._blocks[key] == (slots, _koszul(coeffs, n - sum(key)))
         # The keys left out are the blocks with paired slots of gcd 1.
-        walked = dict.fromkeys(block_key(g, mon) for mon in basis(g, n))
+        walked = dict.fromkeys(block_position(g, mon)[0] for mon in basis(g, n))
         kept = [key for key in walked if math.gcd(*block_pairing(g, key)[1]) != 1]
         assert block_keys(g, n) == [(key, *block_pairing(g, key)) for key in kept], (g, n)
 

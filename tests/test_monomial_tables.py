@@ -11,7 +11,8 @@ records tables are kept by ``chains._faces_table`` and
 positions by the cached presentation, as its ``_positions``.  These
 tests check that the three stores are that one class, that a cold, a
 warm and a constantly evicted store give the same answers, that each
-store keeps its bound, that stored entries equal a per-slot reference,
+store keeps its bound, that stored faces and records equal a per-slot
+reference and stored positions have the properties that pin them,
 that stored valid monomials never let an invalid one through, and that
 a monomial with entries of another type leaves no entry behind.
 """
@@ -46,7 +47,7 @@ from twisthom import (
     wedge,
 )
 from twisthom import chains, pontryagin
-from twisthom.chains import _faces_table, _MonomialTable, block_key
+from twisthom.chains import _atomic_boundary, _faces_table, _MonomialTable
 from twisthom.homology import class_order, homology, is_boundary, reduce_cycle
 from twisthom.pontryagin import _record_table, inversion_chain
 
@@ -297,9 +298,13 @@ def test_stored_entries_match_the_per_slot_reference():
                 assert faces[mon] == reference_faces(g, mon)
                 assert records[mon] == reference_record(g, mon)
                 key, subset = h._positions[mon]
-                assert key == block_key(g, mon)
+                # Each key entry is the lower end of its slot's pair or
+                # stands alone, and each raised slot is paired.
+                assert not any(map(_atomic_boundary, g.orders, g.signs, key))
                 slots, kos = h._block(key)
                 assert subset in kos.columns
+                assert all(_atomic_boundary(g.orders[k], g.signs[k], key[k] + 1)
+                           for k in (slots[s] for s in subset))
                 raised = list(key)
                 for s in subset:
                     raised[slots[s]] += 1
